@@ -16,9 +16,9 @@ from .ndn import (Data, Interest, MalformedPacket, MalformedUri, Name,
                   PacketCodecError, TruncatedPacket, UnknownType, chunk_content,
                   compute_digest, data_wire_len, decode_packet, encode_packet,
                   hash_stream, interest_wire_len, make_data)
-from .orchestration import (DomainSpec, Flavor, Orchestrator, OrchestratorConfig,
-                            QuotaExceeded, ScaleRequest, SliceSpec, UnknownSlice,
-                            Vim, VnfSpec)
+from .orchestration import (DomainSpec, Flavor, Knobs, Orchestrator, QuotaExceeded,
+                            ScaleRequest, SliceSpec, UnknownSlice, Vim, VnfSpec,
+                            slice_faults)
 from .origin import (BadRange, CdnOrigin, ContentObject, DuplicateContent,
                      DuplicateVariant, ResolutionProfile, UnknownContent,
                      synthesize_payload)

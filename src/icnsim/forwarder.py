@@ -9,7 +9,7 @@ can be driven and tested without any network.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ndn import Data, Interest, Name, compute_digest
 
@@ -81,8 +81,6 @@ class Counters:
 class CsEntry:
     data: Data
     inserted_at: float
-    last_access: float
-    hits: int = 0
 
 
 class ContentStore:
@@ -104,8 +102,6 @@ class ContentStore:
             del self.entries[name]
             self.bytes -= len(e.data.payload)
             return None
-        e.last_access = now
-        e.hits += 1
         self.entries.move_to_end(name)
         return e.data
 
@@ -119,11 +115,10 @@ class ContentStore:
             self.bytes += size - len(old.data.payload)
             old.data = d
             old.inserted_at = now
-            old.last_access = now
             self.entries.move_to_end(d.name)
             return True, self._evict(now, [])
         evicted = self._evict(now, [], incoming=size)
-        self.entries[d.name] = CsEntry(d, now, now)
+        self.entries[d.name] = CsEntry(d, now)
         self.bytes += size
         return True, evicted
 
@@ -152,7 +147,6 @@ class PitEntry:
     name: Name
     records: set[tuple[int, int]]   # (face, nonce), each at most once
     faces: dict[int, None]          # distinct downstream faces, insertion ordered
-    out_faces: set[int]
     deadline: float
 
     def add(self, face: int, nonce: int):
@@ -294,7 +288,7 @@ class Forwarder:
             self.counters.drop(DROP_LOOP)
             return [Drop(DROP_LOOP)]
         self.pit[interest.name] = PitEntry(
-            interest.name, {(face, interest.nonce)}, {face: None}, {hop},
+            interest.name, {(face, interest.nonce)}, {face: None},
             now + interest.lifetime_ms)
         return [SendInterest(hop, interest.decremented())]
 

@@ -66,10 +66,9 @@ class Gateway(Forwarder):
         self.repo: dict[Name, Data] = {}
         self.repo_bytes = 0
         self.published: dict[Name, int] = {}   # base name -> segment count
-        self.pending: dict[Name, float] = {}   # base name -> fetch start time
+        self.pending: set[Name] = set()        # base names with a fetch under way
         self.origin_ref: OriginRef | None = None
         self._base_for: dict[tuple[str, str], Name] = {}
-        self.publish_ms: dict[Name, float] = {}
 
     def configure_origin(self, origin_ref: OriginRef):
         self.origin_ref = origin_ref
@@ -110,12 +109,12 @@ class Gateway(Forwarder):
             entry.add(face, interest.nonce)
             return []
         self.pit[interest.name] = PitEntry(
-            interest.name, {(face, interest.nonce)}, {face: None}, set(),
+            interest.name, {(face, interest.nonce)}, {face: None},
             now + interest.lifetime_ms)
         if base in self.pending:
             # At most one concurrent origin fetch per content.
             return []
-        self.pending[base] = now
+        self.pending.add(base)
         return [PendingFetch(content_id, resolution, base)]
 
     def publish_content_to_icn(self, now: float, content_id: str, resolution: str,
@@ -136,7 +135,7 @@ class Gateway(Forwarder):
             self.repo[d.name] = d
             self.repo_bytes += len(d.payload)
         self.published[base] = len(segments)
-        self.pending.pop(base, None)
+        self.pending.discard(base)
         actions: list[Action] = []
         for name in [n for n in self.pit if base.is_prefix_of(n)]:
             entry = self.pit.pop(name)
@@ -150,7 +149,7 @@ class Gateway(Forwarder):
 
     def fetch_failed(self, base: Name) -> list[Action]:
         """Abort a pending fetch; waiting interests drop as no-route."""
-        self.pending.pop(base, None)
+        self.pending.discard(base)
         actions: list[Action] = []
         for name in [n for n in self.pit if base.is_prefix_of(n)]:
             del self.pit[name]

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import metrics
 from .metrics import Sample
 from .ndn import Name
-from .orchestration import Orchestrator, OrchestratorConfig
+from .orchestration import Orchestrator
 from .origin import ResolutionProfile, synthesize_payload
 from .scenario import (Diagnostic, PopulationDef, Scenario, ScenarioError,
                        load_scenario)
@@ -37,7 +37,6 @@ class SimRun:
     samples: list[Sample]
     publishes: list[tuple[str, str, int, float]]  # (content_id, resolution, bytes, ms)
     final_ms: float
-    populations: list = field(default_factory=list)
 
     @property
     def hosts(self) -> dict[str, Host]:
@@ -115,17 +114,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
                           per_packet_cost_ms=knobs.per_packet_cost_ms,
                           origin_timeout_ms=knobs.origin_timeout_ms))
 
-    config = OrchestratorConfig(
-        cs_capacity_bytes=knobs.cs_capacity_bytes,
-        chunk_size=knobs.chunk_size,
-        publish_freshness_ms=knobs.publish_freshness_ms,
-        per_packet_cost_ms=knobs.per_packet_cost_ms,
-        origin_timeout_ms=knobs.origin_timeout_ms,
-        transcode_rate_bps=knobs.transcode_rate_bps,
-        scale_threshold=knobs.scale_threshold,
-        icn_as_ip=(scenario.mode == "cdn-only"),
-    )
-    orch = Orchestrator(net, scenario.domains, config)
+    orch = Orchestrator(net, scenario.domains, knobs, scenario.mode)
 
     pending_links = list(scenario.links)
 
@@ -189,8 +178,8 @@ def build_and_run(scenario: Scenario) -> SimRun:
         else:
             seg_count = max(1, -(-p.content_size // knobs.chunk_size))
             pop = Population(net, host, p.region, p.content, p.resolution,
-                             p.content_size, seg_count, p.request_count,
-                             p.pattern, p.retransmit_ms, rng, records,
+                             seg_count, p.request_count, p.pattern,
+                             p.retransmit_ms, rng, records,
                              rid_counter, window=knobs.window,
                              lifetime_ms=knobs.interest_lifetime_ms,
                              max_attempts=knobs.retransmit_max)
@@ -220,8 +209,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
 
     final = net.run_to_completion()
     sampler.final_flush(final)
-    return SimRun(scenario, net, orch, records, samples, publishes, final,
-                  populations)
+    return SimRun(scenario, net, orch, records, samples, publishes, final)
 
 
 def write_outputs(run: SimRun, out_dir: Path):

@@ -3,20 +3,18 @@
 The orchestrator owns per-domain VIMs (quota accountants), creates and
 destroys CDN/ICN slices atomically, links a CDN slice to an ICN slice by
 selecting and configuring the NDN gateway, and applies a threshold
-scale-out policy from VNF usage reports.
+scale-out policy from VNF usage reports. ``slice_faults`` holds every
+slice rule, shared with the static scenario validator.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .gateway import EmptyCandidates, Gateway, OriginRef, select_gateway
 from .ndn import Name
 from .origin import CdnOrigin, ResolutionProfile
 from .simnet import Host, Network
-
-logger = logging.getLogger(__name__)
 
 ICN_ROLES = ("ndn-node", "ndn-gateway")
 CDN_ROLES = ("cache", "transcoder", "streamer")
@@ -89,6 +87,27 @@ class Vim:
 
 
 @dataclass(slots=True)
+class Knobs:
+    """Every tuning value of a run; the scenario's ``knobs`` object."""
+
+    chunk_size: int = 8192
+    window: int = 4
+    cs_capacity_bytes: int = 64 * 1024 * 1024
+    gateway_weight: float = 0.5
+    bucket_ms: float = 1000.0
+    origin_timeout_ms: float = 30_000.0
+    per_packet_cost_ms: float = 0.02
+    publish_freshness_ms: int = 3_600_000
+    interest_lifetime_ms: int = 4000
+    horizon_ms: float = 86_400_000.0
+    pit_sweep_ms: float = 500.0
+    transcode_rate_bps: float = 20e6
+    scale_threshold: float = 0.8
+    scale_window_ms: float = 10_000.0
+    retransmit_max: int = 5
+
+
+@dataclass(slots=True)
 class VnfSpec:
     role: str
     domain: str
@@ -103,6 +122,58 @@ class SliceSpec:
     duration_ms: float
     vnfs: list[VnfSpec]
     links: list[tuple[str, str, float, float]] = field(default_factory=list)
+
+
+def slice_faults(spec: SliceSpec, domains, taken) -> list[tuple[str, str, str]]:
+    """Every slice rule the spec breaks, as (code, sub-path, message).
+
+    ``domains`` and ``taken`` hold the known domain names and the node ids
+    in use. Sub-paths are ``vnfs.J.<field>``, ``links.J`` or "" (the slice).
+    """
+    if spec.kind not in ("CDN", "ICN"):
+        return [("bad-value", "kind", "slice kind must be CDN or ICN")]
+    faults = []
+    nodes: set[str] = set()
+    roles: set[str] = set()
+    for j, v in enumerate(spec.vnfs):
+        if v.role not in VALID_ROLES:
+            faults.append(("bad-value", "vnfs.%d.role" % j, "unknown role %r" % v.role))
+        elif v.domain not in domains:
+            faults.append(("bad-reference", "vnfs.%d.domain" % j,
+                           "unknown domain %r" % v.domain))
+        elif v.node in taken or v.node in nodes:
+            faults.append(("duplicate", "vnfs.%d.node" % j, "duplicate node %r" % v.node))
+        else:
+            nodes.add(v.node)
+            roles.add(v.role)
+    needed = "cache" if spec.kind == "CDN" else "ndn-node"
+    if needed not in roles:
+        faults.append(("invariant", "", "%s slice needs at least one %s" % (spec.kind, needed)))
+    pairs: set[tuple[str, str]] = set()
+    for j, (a, b, lat, bw) in enumerate(spec.links):
+        pair = (a, b) if a < b else (b, a)
+        if a not in nodes or b not in nodes:
+            faults.append(("bad-reference", "links.%d" % j,
+                           "intra-slice link references unknown node"))
+        elif pair in pairs:
+            faults.append(("duplicate", "links.%d" % j, "duplicate link %r-%r" % (a, b)))
+        elif bw <= 0 or lat < 0:
+            faults.append(("bad-value", "links.%d" % j, "bad link parameters"))
+        pairs.add(pair)
+    return faults
+
+
+def allocate_all(vims: dict[str, Vim], vnfs: list[VnfSpec]) -> list[Allocation]:
+    """One allocation per vnf, or none: QuotaExceeded releases the partial set."""
+    allocs: list[Allocation] = []
+    try:
+        for v in vnfs:
+            allocs.append(vims[v.domain].allocate(v.flavor))
+    except QuotaExceeded:
+        for a in allocs:
+            vims[a.domain].release(a)
+        raise
+    return allocs
 
 
 @dataclass(slots=True)
@@ -143,28 +214,21 @@ class SliceState:
     origin: CdnOrigin | None = None
     gateway_node: str | None = None
     linked_cdn: int | None = None
+    prefix: Name | None = None  # content prefix of the link, on the ICN slice
     scale_count: int = 0
 
 
-@dataclass(slots=True)
-class OrchestratorConfig:
-    cs_capacity_bytes: int = 64 * 1024 * 1024
-    chunk_size: int = 8192
-    publish_freshness_ms: int = 3_600_000
-    per_packet_cost_ms: float = 0.02
-    origin_timeout_ms: float = 30_000.0
-    transcode_rate_bps: float = 20e6
-    scale_threshold: float = 0.8
-    icn_as_ip: bool = False  # cdn-only baseline: ICN nodes become plain IP routers
-
-
 class Orchestrator:
-    """Creates slices on the shared network and accounts their resources."""
+    """Creates slices on the shared network and accounts their resources.
+
+    In ``cdn-only`` mode ICN slice nodes are plain IP routers (the baseline).
+    """
 
     def __init__(self, net: Network, domains: list[DomainSpec],
-                 config: OrchestratorConfig | None = None):
+                 knobs: Knobs | None = None, mode: str = "icn"):
         self.net = net
-        self.config = config or OrchestratorConfig()
+        self.knobs = knobs or Knobs()
+        self.mode = mode
         self.vims = {d.name: Vim(d) for d in domains}
         self.slices: dict[int, SliceState] = {}
         self._next_slice = 0
@@ -173,70 +237,40 @@ class Orchestrator:
 
     # -- slice lifecycle ----------------------------------------------------
 
-    def _validate_spec(self, spec: SliceSpec):
-        if spec.kind not in ("CDN", "ICN"):
-            raise ValueError("slice kind must be CDN or ICN")
-        if not spec.vnfs:
-            raise ValueError("slice needs at least one vnf")
-        for v in spec.vnfs:
-            if v.role not in VALID_ROLES:
-                raise ValueError("unknown vnf role %r" % v.role)
-            if v.domain not in self.vims:
-                raise ValueError("unknown domain %r" % v.domain)
-        roles = [v.role for v in spec.vnfs]
-        if spec.kind == "CDN" and "cache" not in roles:
-            raise ValueError("a CDN slice needs at least one cache")
-        if spec.kind == "ICN" and "ndn-node" not in roles:
-            raise ValueError("an ICN slice needs at least one ndn-node")
-        nodes = [v.node for v in spec.vnfs]
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node ids inside slice")
-        for n in nodes:
-            if n in self.net.hosts:
-                raise ValueError("node id %r already exists" % n)
-        named = set(nodes)
-        for a, b, _lat, _bw in spec.links:
-            if a not in named or b not in named:
-                raise ValueError("intra-slice link references unknown node")
-
     def create_slice(self, spec: SliceSpec, now: float = 0.0) -> int:
-        """Allocate and instantiate a slice; all-or-nothing on quota."""
-        self._validate_spec(spec)
-        allocs: list[Allocation] = []
-        try:
-            for v in spec.vnfs:
-                allocs.append(self.vims[v.domain].allocate(v.flavor))
-        except QuotaExceeded:
-            for v, a in zip(spec.vnfs, allocs):
-                self.vims[v.domain].release(a)
-            raise
+        """Allocate and instantiate a slice; all-or-nothing."""
+        faults = slice_faults(spec, self.vims, self.net.hosts)
+        if faults:
+            raise ValueError(faults[0][2])
+        allocs = allocate_all(self.vims, spec.vnfs)
         sid = self._next_slice
         self._next_slice += 1
         state = SliceState(sid, spec, now, [])
         if spec.kind == "CDN":
-            state.origin = CdnOrigin(self.config.transcode_rate_bps)
+            state.origin = CdnOrigin(self.knobs.transcode_rate_bps)
         for v, alloc in zip(spec.vnfs, allocs):
-            host = self._make_host(spec.kind, v, state)
-            self.net.add_host(host)
-            state.instances.append(VnfInstance(
-                alloc.id, v.role, v.domain, v.flavor, v.node, alloc, host))
+            self._instantiate(state, v, alloc)
         for a, b, lat, bw in spec.links:
             self.net.add_link(a, b, lat, bw)
         self.slices[sid] = state
         return sid
 
-    def _make_host(self, kind: str, v: VnfSpec, state: SliceState) -> Host:
-        cfg = self.config
-        if kind == "ICN" and not cfg.icn_as_ip:
-            cs = v.cs_capacity_bytes if v.cs_capacity_bytes is not None else cfg.cs_capacity_bytes
-            fwd = Gateway(cs, cfg.chunk_size, cfg.publish_freshness_ms)
-            return Host(self.net, v.node, v.role, fwd=fwd, vcpus=v.flavor.vcpus,
-                        per_packet_cost_ms=cfg.per_packet_cost_ms,
-                        origin_timeout_ms=cfg.origin_timeout_ms)
-        origin = state.origin if v.role in ("cache", "streamer") else None
-        return Host(self.net, v.node, v.role, origin=origin, vcpus=v.flavor.vcpus,
-                    per_packet_cost_ms=cfg.per_packet_cost_ms,
-                    origin_timeout_ms=cfg.origin_timeout_ms)
+    def _instantiate(self, state: SliceState, v: VnfSpec, alloc: Allocation) -> VnfInstance:
+        """Add the vnf's host to the network and the instance to the slice."""
+        k = self.knobs
+        fwd = origin = None
+        if state.spec.kind == "ICN" and self.mode != "cdn-only":
+            cs = v.cs_capacity_bytes if v.cs_capacity_bytes is not None else k.cs_capacity_bytes
+            fwd = Gateway(cs, k.chunk_size, k.publish_freshness_ms)
+        elif v.role in ("cache", "streamer"):
+            origin = state.origin
+        host = Host(self.net, v.node, v.role, fwd=fwd, origin=origin, vcpus=v.flavor.vcpus,
+                    per_packet_cost_ms=k.per_packet_cost_ms,
+                    origin_timeout_ms=k.origin_timeout_ms)
+        self.net.add_host(host)
+        inst = VnfInstance(alloc.id, v.role, v.domain, v.flavor, v.node, alloc, host)
+        state.instances.append(inst)
+        return inst
 
     def _live(self, sid: int) -> SliceState:
         state = self.slices.get(sid)
@@ -260,29 +294,31 @@ class Orchestrator:
 
     # -- content plane helpers ------------------------------------------------
 
-    def upload(self, sid: int, content_id: str, payload: bytes, source_resolution: str):
+    def _cdn(self, sid: int) -> SliceState:
         state = self._live(sid)
         if state.origin is None:
-            raise ValueError("slice %d has no content store" % sid)
-        return state.origin.upload(content_id, payload, source_resolution)
+            raise ValueError("slice %d is not a CDN slice" % sid)
+        return state
+
+    def upload(self, sid: int, content_id: str, payload: bytes, source_resolution: str):
+        state = self._cdn(sid)
+        obj = state.origin.upload(content_id, payload, source_resolution)
+        self._configure_gateways(sid)
+        return obj
 
     def transcode(self, sid: int, content_id: str, target: ResolutionProfile):
-        state = self._live(sid)
-        if state.origin is None:
-            raise ValueError("slice %d has no content store" % sid)
+        state = self._cdn(sid)
         host = self._transcode_host(state)
         state.origin.on_cpu = host.charge_ms if host is not None else None
         obj = state.origin.transcode(content_id, target)
-        self._refresh_linked_gateways(sid)
+        self._configure_gateways(sid)
         return obj
 
     def _transcode_host(self, state: SliceState) -> Host | None:
-        for inst in state.instances:
-            if inst.role == "transcoder":
-                return inst.host
-        for inst in state.instances:
-            if inst.role == "cache":
-                return inst.host
+        for role in ("transcoder", "cache"):
+            for inst in state.instances:
+                if inst.role == role:
+                    return inst.host
         return None
 
     def serving_node(self, sid: int) -> str:
@@ -304,10 +340,8 @@ class Orchestrator:
         demand latency of a candidate is the count-weighted mean of its
         shortest-path latencies to those nodes.
         """
-        cdn = self._live(cdn_sid)
+        self._cdn(cdn_sid)
         icn = self._live(icn_sid)
-        if cdn.origin is None:
-            raise ValueError("slice %d is not a CDN slice" % cdn_sid)
         serve = self.serving_node(cdn_sid)
         cands = [inst for inst in icn.instances if inst.host.fwd is not None]
         if not cands:
@@ -327,36 +361,27 @@ class Orchestrator:
         gw_host = self.net.hosts[gw_node]
         if not isinstance(gw_host.fwd, Gateway):
             raise ValueError("node %r cannot take the gateway role" % gw_node)
-        prefix_map = {}
-        for content_id, resolution in cdn.origin.catalog():
-            base = Name(prefix.components + (content_id.encode(), resolution.encode()))
-            prefix_map[base] = (content_id, resolution)
-        gw_host.fwd.configure_origin(OriginRef(serve, prefix_map))
         icn.gateway_node = gw_node
         icn.linked_cdn = cdn_sid
+        icn.prefix = prefix
+        self._configure_gateways(cdn_sid)
         self._install_routes(prefix, gw_node)
         self.log.append("link: slice %d -> slice %d via gateway %s" % (cdn_sid, icn_sid, gw_node))
         return gw_node
 
-    def _refresh_linked_gateways(self, cdn_sid: int):
-        # New variants become servable without re-linking.
+    def _configure_gateways(self, cdn_sid: int):
+        """Map the CDN slice's catalog, under each link prefix, on every gateway
+        linked to it, so new contents are servable without re-linking."""
+        cdn = self.slices[cdn_sid]
+        serve = self.serving_node(cdn_sid)
         for icn in self.slices.values():
-            if icn.linked_cdn != cdn_sid or icn.gateway_node is None:
+            if icn.linked_cdn != cdn_sid:
                 continue
-            gw_host = self.net.hosts.get(icn.gateway_node)
-            if gw_host is None or not isinstance(gw_host.fwd, Gateway):
-                continue
-            ref = gw_host.fwd.origin_ref
-            if ref is None or not gw_host.fwd.origin_ref.prefix_map:
-                continue
-            any_base = next(iter(ref.prefix_map))
-            prefix = Name._unsafe(any_base.components[:-2])
-            cdn = self.slices[cdn_sid]
             prefix_map = {}
             for content_id, resolution in cdn.origin.catalog():
-                base = Name(prefix.components + (content_id.encode(), resolution.encode()))
+                base = Name(icn.prefix.components + (content_id.encode(), resolution.encode()))
                 prefix_map[base] = (content_id, resolution)
-            gw_host.fwd.configure_origin(OriginRef(ref.node, prefix_map))
+            self.net.hosts[icn.gateway_node].fwd.configure_origin(OriginRef(serve, prefix_map))
 
     def _install_routes(self, prefix: Name, gw_node: str):
         """Route the content prefix toward the gateway on every NDN node."""
@@ -390,7 +415,7 @@ class Orchestrator:
             if span <= 0:
                 continue
             util = (busy - last_busy) / span
-            if util > self.config.scale_threshold:
+            if util > self.knobs.scale_threshold:
                 return ScaleRequest(sid, inst.id, inst.role, inst.domain, inst.flavor)
         return None
 
@@ -402,16 +427,12 @@ class Orchestrator:
         except QuotaExceeded:
             self.log.append("scale denied: quota exceeded in %s for slice %d"
                             % (req.domain, req.slice_id))
-            logger.info("scale-out denied for slice %d in %s", req.slice_id, req.domain)
             return None
         original = next(i for i in state.instances if i.id == req.instance_id)
         state.scale_count += 1
         node = "%s-s%d" % (original.node, state.scale_count)
-        spec = VnfSpec(req.role, req.domain, req.flavor, node)
-        host = self._make_host(state.spec.kind, spec, state)
-        self.net.add_host(host)
-        inst = VnfInstance(alloc.id, req.role, req.domain, req.flavor, node, alloc, host)
-        state.instances.append(inst)
+        inst = self._instantiate(state, VnfSpec(req.role, req.domain, req.flavor, node), alloc)
+        host = inst.host
         # Clone the original's adjacency, then advertise equal-cost next hops.
         for peer, lat in list(self.net._adj.get(original.node, [])):
             link = self.net._links[(original.node, peer)]

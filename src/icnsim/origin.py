@@ -80,7 +80,6 @@ class CdnOrigin:
         self._source_res: dict[str, str] = {}
         self.store_bytes = 0
         self.uploads = 0
-        self.transcodes = 0
         self.streams = 0
         self.bytes_out = 0
 
@@ -106,7 +105,6 @@ class CdnOrigin:
         obj = ContentObject(content_id, target.tag, payload)
         self._store[(content_id, target.tag)] = obj
         self.store_bytes += out_len
-        self.transcodes += 1
         busy_ms = len(src.payload) / self.transcode_rate_bps * 1000.0
         if self.on_cpu is not None:
             self.on_cpu(busy_ms)
@@ -135,6 +133,3 @@ class CdnOrigin:
 
     def catalog(self) -> list[tuple[str, str]]:
         return sorted(self._store)
-
-    def size_of(self, content_id: str, resolution: str) -> int:
-        return self.get(content_id, resolution).size_bytes

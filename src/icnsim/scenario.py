@@ -16,7 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .ndn import MalformedUri, Name
-from .orchestration import VALID_ROLES, DomainSpec, Flavor, SliceSpec, VnfSpec
+from .orchestration import (DomainSpec, Flavor, Knobs, QuotaExceeded, SliceSpec,
+                            Vim, VnfSpec, allocate_all, slice_faults)
 
 NORTHBOUND_OPS = ("create_cdn_slice", "create_icn_slice", "upload",
                   "transcode", "link", "destroy")
@@ -31,25 +32,6 @@ class Diagnostic:
     def as_json(self) -> str:
         return json.dumps({"code": self.code, "path": self.path,
                            "message": self.message}, sort_keys=True)
-
-
-@dataclass(slots=True)
-class Knobs:
-    chunk_size: int = 8192
-    window: int = 4
-    cs_capacity_bytes: int = 64 * 1024 * 1024
-    gateway_weight: float = 0.5
-    bucket_ms: float = 1000.0
-    origin_timeout_ms: float = 30_000.0
-    per_packet_cost_ms: float = 0.02
-    publish_freshness_ms: int = 3_600_000
-    interest_lifetime_ms: int = 4000
-    horizon_ms: float = 86_400_000.0
-    pit_sweep_ms: float = 500.0
-    transcode_rate_bps: float = 20e6
-    scale_threshold: float = 0.8
-    scale_window_ms: float = 10_000.0
-    retransmit_max: int = 5
 
 
 @dataclass(slots=True)
@@ -322,12 +304,12 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         contents.append(cd)
         content_by_id[cid] = cd
 
-    # Northbound: parse ops, collect slice node names, simulate quota ledger.
+    # Northbound: parse ops, check slices, replay quotas, collect what exists.
     northbound: list[dict] = []
     slice_labels: dict[str, str] = {}  # label -> kind
-    slice_nodes: dict[str, list[VnfSpec]] = {}
-    ledger = {d.name: [d.quota.vcpus, d.quota.ram_mb, d.quota.disk_gb] for d in domains}
-    uploaded: dict[str, set[str]] = {}
+    slice_allocs: dict[str, list] = {}
+    vims = {d.name: Vim(d) for d in domains}
+    produced: set[tuple[str, str]] = set()  # (content_id, resolution)
     link_prefixes: list[Name] = []
     for i, op in enumerate(doc.get("northbound", [])):
         path = "northbound.%d" % i
@@ -344,7 +326,6 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
             label = _want(diags, op, "slice", str, path, required=True)
             duration = _want(diags, op, "duration_ms", (int, float), path,
                              default=86_400_000.0)
-            vnfs_doc = op.get("vnfs", [])
             if label is None:
                 continue
             if label in slice_labels:
@@ -352,95 +333,60 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                                         "duplicate slice label %r" % label))
                 continue
             skind = "CDN" if kind == "create_cdn_slice" else "ICN"
+            parsed = len(diags)
             vnfs: list[VnfSpec] = []
-            for j, v in enumerate(vnfs_doc):
+            for j, v in enumerate(op.get("vnfs", [])):
                 vpath = "%s.vnfs.%d" % (path, j)
                 role = _want(diags, v, "role", str, vpath, required=True)
                 dom = _want(diags, v, "domain", str, vpath, required=True)
                 nid = _want(diags, v, "node", str, vpath, required=True)
                 cs = _want(diags, v, "cs_capacity_bytes", int, vpath)
                 flavor = _parse_flavor(diags, v.get("flavor", {}), vpath + ".flavor")
-                if None in (role, dom, nid) or flavor is None:
-                    continue
-                if role not in VALID_ROLES:
-                    diags.append(Diagnostic("bad-value", vpath + ".role",
-                                            "unknown role %r" % role))
-                    continue
-                if dom not in ledger:
-                    diags.append(Diagnostic("bad-reference", vpath + ".domain",
-                                            "unknown domain %r" % dom))
-                    continue
-                if nid in node_ids:
-                    diags.append(Diagnostic("duplicate", vpath + ".node",
-                                            "duplicate node %r" % nid))
-                    continue
-                node_ids.add(nid)
-                vnfs.append(VnfSpec(role, dom, flavor, nid, cs))
-            roles = [v.role for v in vnfs]
-            if skind == "CDN" and "cache" not in roles:
-                diags.append(Diagnostic("invariant", path,
-                                        "CDN slice %r needs at least one cache" % label))
-            if skind == "ICN" and "ndn-node" not in roles:
-                diags.append(Diagnostic("invariant", path,
-                                        "ICN slice %r needs at least one ndn-node" % label))
-            for v in vnfs:
-                rem = ledger[v.domain]
-                need = (v.flavor.vcpus, v.flavor.ram_mb, v.flavor.disk_gb)
-                if any(r < n for r, n in zip(rem, need)):
-                    diags.append(Diagnostic("QuotaExceeded", path,
-                                            "domain %r cannot fit slice %r"
-                                            % (v.domain, label)))
-                    break
-                for k2, n in enumerate(need):
-                    rem[k2] -= n
+                if None not in (role, dom, nid) and flavor is not None:
+                    vnfs.append(VnfSpec(role, dom, flavor, nid, cs))
             links = []
-            named = {v.node for v in vnfs}
             for j, l in enumerate(op.get("links", [])):
                 lpath = "%s.links.%d" % (path, j)
                 a = _want(diags, l, "a", str, lpath, required=True)
                 b = _want(diags, l, "b", str, lpath, required=True)
                 lat = _want(diags, l, "latency_ms", (int, float), lpath, required=True)
                 bw = _want(diags, l, "bandwidth_mbps", (int, float), lpath, required=True)
-                if None in (a, b, lat, bw):
-                    continue
-                if a not in named or b not in named:
-                    diags.append(Diagnostic("bad-reference", lpath,
-                                            "intra-slice link references unknown node"))
-                    continue
-                if bw <= 0 or lat < 0:
-                    diags.append(Diagnostic("bad-value", lpath, "bad link parameters"))
-                    continue
-                links.append((a, b, float(lat), float(bw)))
+                if None not in (a, b, lat, bw):
+                    links.append((a, b, float(lat), float(bw)))
+            spec = SliceSpec(skind, float(duration or 0), vnfs, links)
+            if len(diags) == parsed:
+                # Every vnf and link parsed, so rule sub-paths index the document.
+                for code, sub, message in slice_faults(spec, vims, node_ids):
+                    diags.append(Diagnostic(code, "%s.%s" % (path, sub) if sub else path,
+                                            message))
+            node_ids.update(v.node for v in vnfs)
+            if len(diags) == parsed:
+                try:
+                    slice_allocs[label] = allocate_all(vims, vnfs)
+                except QuotaExceeded as e:
+                    diags.append(Diagnostic("QuotaExceeded", path,
+                                            "domain %r cannot fit slice %r" % (e.domain, label)))
             slice_labels[label] = skind
-            slice_nodes[label] = vnfs
-            rec.update(slice=label, spec=SliceSpec(skind, float(duration), vnfs, links))
-        elif kind == "upload":
+            rec.update(slice=label, spec=spec)
+        elif kind in ("upload", "transcode"):
             label = _want(diags, op, "slice", str, path, required=True)
             cid = _want(diags, op, "content_id", str, path, required=True)
+            tag = _want(diags, op, "tag", str, path, required=True) if kind == "transcode" else None
             if label is not None and slice_labels.get(label) != "CDN":
                 diags.append(Diagnostic("bad-reference", path + ".slice",
-                                        "upload needs an existing CDN slice"))
-            if cid is not None and cid not in content_by_id:
-                diags.append(Diagnostic("bad-reference", path + ".content_id",
-                                        "unknown content %r" % cid))
-            elif cid is not None:
-                uploaded.setdefault(label or "", set()).add(cid)
-            rec.update(slice=label, content_id=cid)
-        elif kind == "transcode":
-            label = _want(diags, op, "slice", str, path, required=True)
-            cid = _want(diags, op, "content_id", str, path, required=True)
-            tag = _want(diags, op, "tag", str, path, required=True)
-            if label is not None and slice_labels.get(label) != "CDN":
-                diags.append(Diagnostic("bad-reference", path + ".slice",
-                                        "transcode needs an existing CDN slice"))
+                                        "%s needs an existing CDN slice" % kind))
             cd = content_by_id.get(cid or "")
             if cid is not None and cd is None:
                 diags.append(Diagnostic("bad-reference", path + ".content_id",
                                         "unknown content %r" % cid))
+            elif cd is not None and kind == "upload":
+                produced.add((cid, cd.source_resolution))
             elif cd is not None and tag is not None:
                 if tag != cd.source_resolution and all(t != tag for t, _ in cd.resolutions):
                     diags.append(Diagnostic("bad-reference", path + ".tag",
                                             "resolution %r not declared for %r" % (tag, cid)))
+                else:
+                    produced.add((cid, tag))
             rec.update(slice=label, content_id=cid, tag=tag)
         elif kind == "link":
             cdn = _want(diags, op, "cdn", str, path, required=True)
@@ -470,11 +416,8 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                 diags.append(Diagnostic("bad-reference", path + ".slice",
                                         "unknown slice %r" % label))
             else:
-                for v in slice_nodes.get(label, []):
-                    rem = ledger[v.domain]
-                    rem[0] += v.flavor.vcpus
-                    rem[1] += v.flavor.ram_mb
-                    rem[2] += v.flavor.disk_gb
+                for a in slice_allocs.pop(label, []):
+                    vims[a.domain].release(a)
                 slice_labels.pop(label, None)
             rec.update(slice=label)
         northbound.append(rec)
@@ -549,6 +492,11 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         if size is None:
             diags.append(Diagnostic("bad-reference", path + ".content",
                                     "resolution %r not declared for %r" % (resolution, cid)))
+            continue
+        if (cid, resolution) not in produced:
+            diags.append(Diagnostic("bad-reference", path + ".content",
+                                    "no upload or transcode produces %r at %r"
+                                    % (cid, resolution)))
             continue
         if mode == "icn" and link_prefixes and not any(
                 pref.is_prefix_of(cname) for pref in link_prefixes):

@@ -292,9 +292,8 @@ class Host:
     __slots__ = ("net", "id", "role", "fwd", "origin", "vcpus", "cost_ms",
                  "counters", "faces", "face_by_peer", "apps", "_next_face",
                  "busy_ms_total", "busy_bucket", "rx_bucket", "tx_bucket",
-                 "mem_peak", "origin_timeout_ms", "_fetch_meta",
-                 "_fetch_timeouts", "_next_rid", "_ip_waiters",
-                 "publish_hook")
+                 "mem_peak", "origin_timeout_ms", "_fetches", "_next_rid",
+                 "_ip_waiters", "publish_hook")
 
     def __init__(self, net: Network, node_id: str, role: str = "host",
                  fwd: Forwarder | None = None, origin: CdnOrigin | None = None,
@@ -318,8 +317,7 @@ class Host:
         self.tx_bucket = 0
         self.mem_peak = 0
         self.origin_timeout_ms = origin_timeout_ms
-        self._fetch_meta: dict[int, tuple[Name, str, str, float]] = {}
-        self._fetch_timeouts: dict[int, Event] = {}
+        self._fetches: dict[int, tuple[PendingFetch, float, Event]] = {}  # (fetch, start, timeout)
         self._next_rid = 0
         self._ip_waiters: dict[int, Callable] = {}
         self.publish_hook: Callable | None = None
@@ -446,8 +444,8 @@ class Host:
         if type(msg) is IpRequest:
             self._serve_ip_request(now, msg)
         elif type(msg) is IpResponse:
-            if msg.request_id in self._fetch_meta:
-                self._complete_fetch(now, msg)
+            if msg.request_id in self._fetches:
+                self._end_fetch(now, msg.request_id, msg)
             else:
                 cb = self._ip_waiters.pop(msg.request_id, None)
                 if cb is not None:
@@ -474,39 +472,31 @@ class Host:
         gw = self.fwd
         assert isinstance(gw, Gateway) and gw.origin_ref is not None
         rid = self.next_request_id()
-        self._fetch_meta[rid] = (pf.base, pf.content_id, pf.resolution, now)
         self.counters.origin_fetches += 1
         req = IpRequest(self.id, gw.origin_ref.node, rid, pf.content_id,
                         pf.resolution, None)
         self.send_ip(req, IP_REQUEST_BYTES)
-        self._fetch_timeouts[rid] = self.net.schedule(
-            now + self.origin_timeout_ms, lambda t, rid=rid: self._fetch_timeout(t, rid))
+        ev = self.net.schedule(now + self.origin_timeout_ms,
+                               lambda t, rid=rid: self._end_fetch(t, rid, None))
+        self._fetches[rid] = (pf, now, ev)
 
-    def _fetch_timeout(self, now: float, rid: int):
-        meta = self._fetch_meta.pop(rid, None)
-        self._fetch_timeouts.pop(rid, None)
-        if meta is None:
+    def _end_fetch(self, now: float, rid: int, msg: IpResponse | None):
+        """Publish the fetched content, or fail its waiters on an error
+        response or, with ``msg`` None, on the timeout."""
+        fetch = self._fetches.pop(rid, None)
+        if fetch is None:
             return
-        base = meta[0]
+        pf, started, ev = fetch
         gw = self.fwd
-        self._emit(gw.fetch_failed(base), self.id)
-
-    def _complete_fetch(self, now: float, msg: IpResponse):
-        meta = self._fetch_meta.pop(msg.request_id, None)
-        if meta is None:
-            return
-        base, content_id, resolution, started = meta
-        ev = self._fetch_timeouts.pop(msg.request_id, None)
-        if ev is not None:
+        if msg is not None:
             self.net.cancel(ev)
-        gw = self.fwd
-        if msg.error is not None or msg.payload is None:
-            self._emit(gw.fetch_failed(base), self.id)
+        if msg is None or msg.error is not None or msg.payload is None:
+            self._emit(gw.fetch_failed(pf.base), self.id)
             return
-        count, actions = gw.publish_content_to_icn(now, content_id, resolution, msg.payload)
-        gw.publish_ms[base] = now - started
+        _count, actions = gw.publish_content_to_icn(now, pf.content_id, pf.resolution,
+                                                    msg.payload)
         if self.publish_hook is not None:
-            self.publish_hook(content_id, resolution, len(msg.payload), now - started)
+            self.publish_hook(pf.content_id, pf.resolution, len(msg.payload), now - started)
         self._emit(actions, self.id)
         self._touch_mem()
 
@@ -546,51 +536,95 @@ class _Request:
 
 
 class _Outstanding:
-    __slots__ = ("seg", "first_issue", "last_issue", "attempts", "waiters")
+    __slots__ = ("seg", "last_issue", "attempts", "waiters")
 
-    def __init__(self, seg: int, now: float):
+    def __init__(self, seg: int, now: float, first: _Request):
         self.seg = seg
-        self.first_issue = now
         self.last_issue = now
         self.attempts = 1
-        self.waiters: list[_Request] = []
+        self.waiters: list[_Request] = [first]
 
 
-class Population:
-    """One region's consumers attached at a node, fetching one content.
+class _Consumers:
+    """One region's consumers attached at a node, requesting one content.
 
-    Each request pulls every segment of the content through a sliding
-    window of outstanding interests; concurrent requests for the same
-    segment share one outstanding interest at the host. Unanswered
-    interests retransmit with fresh nonces up to the attempt limit.
+    The base schedules arrivals, counts issued and active requests and
+    writes the request records; a subclass fetches each request in
+    ``_begin`` and ends it through ``_record``.
     """
 
     def __init__(self, net: Network, host: Host, region: str, content: Name,
-                 resolution: str, content_size: int, seg_count: int,
-                 request_count: int, pattern: tuple, retransmit_ms: float,
-                 rng, records: list[RequestRecord], rid_counter,
-                 window: int = 4, lifetime_ms: int = 4000,
-                 max_attempts: int = 5):
+                 resolution: str, request_count: int, pattern: tuple, rng,
+                 records: list[RequestRecord], rid_counter):
         self.net = net
         self.host = host
         self.region = region
         self.content = content
         self.resolution = resolution
-        self.content_size = content_size
-        self.seg_count = seg_count
         self.request_count = request_count
         self.pattern = pattern
-        self.retransmit_ms = retransmit_ms
         self.rng = rng
         self.records = records
         self.rid_counter = rid_counter
+        self.issued = 0
+        self.active = 0
+
+    def start(self):
+        if self.request_count > 0:
+            self.net.schedule(0.0, self._arrive)
+
+    def _next_gap(self) -> float:
+        if self.pattern[0] == "uniform":
+            return self.pattern[1]
+        # poisson: seeded exponential inter-arrival, rate in requests/s
+        return self.rng.expovariate(self.pattern[1]) * 1000.0
+
+    def _arrive(self, now: float):
+        rid = next(self.rid_counter)
+        self.issued += 1
+        self.active += 1
+        # Outputs depend on this order: the next arrival is drawn and
+        # scheduled before this request's own draws and timers.
+        if self.issued < self.request_count:
+            self.net.schedule(now + self._next_gap(), self._arrive)
+        self._begin(now, rid)
+
+    def _begin(self, now: float, rid: int):
+        raise NotImplementedError
+
+    def _record(self, rid: int, t_issue: float, now: float, served_by: str,
+                status: str, nbytes: int, attempts: int = 1):
+        self.active -= 1
+        self.records.append(RequestRecord(
+            rid, self.region, self.host.id, str(self.content), self.resolution,
+            t_issue, now, now - t_issue, served_by, status, nbytes, attempts))
+
+    def finished(self) -> bool:
+        return self.issued >= self.request_count and self.active == 0
+
+
+class Population(_Consumers):
+    """NDN consumers: each request pulls every segment of the content.
+
+    Segments go through a sliding window of outstanding interests;
+    concurrent requests for the same segment share one outstanding
+    interest at the host. Unanswered interests retransmit with fresh
+    nonces up to the attempt limit.
+    """
+
+    def __init__(self, net: Network, host: Host, region: str, content: Name,
+                 resolution: str, seg_count: int, request_count: int,
+                 pattern: tuple, retransmit_ms: float, rng,
+                 records: list[RequestRecord], rid_counter, window: int = 4,
+                 lifetime_ms: int = 4000, max_attempts: int = 5):
+        super().__init__(net, host, region, content, resolution, request_count,
+                         pattern, rng, records, rid_counter)
+        self.seg_count = seg_count
+        self.retransmit_ms = retransmit_ms
         self.window = window
         self.lifetime_ms = lifetime_ms
         self.max_attempts = max_attempts
         self.outstanding: dict[Name, _Outstanding] = {}
-        self.issued = 0
-        self.active = 0
-        self.failed = 0
         self.app_face = host.attach_app(self._app_cb)
         self._inbox: deque = deque()
         self._draining = False
@@ -607,26 +641,9 @@ class Population:
 
     # -- request lifecycle ------------------------------------------------------
 
-    def start(self):
-        if self.request_count <= 0:
-            return
-        self.net.schedule(0.0, self._issue_request)
-
-    def _next_gap(self) -> float:
-        kind = self.pattern[0]
-        if kind == "uniform":
-            return self.pattern[1]
-        # poisson: seeded exponential inter-arrival, rate in requests/s
-        return self.rng.expovariate(self.pattern[1]) * 1000.0
-
-    def _issue_request(self, now: float):
-        req = _Request(next(self.rid_counter), now)
-        self.issued += 1
-        self.active += 1
-        if self.issued < self.request_count:
-            self.net.schedule(now + self._next_gap(), self._issue_request)
+    def _begin(self, now: float, rid: int):
         self._ensure_watchdog(now)
-        self._advance(now, req)
+        self._advance(now, _Request(rid, now))
 
     def _advance(self, now: float, req: _Request):
         while not req.done and len(req.pending) < self.window and req.next_seg < self.seg_count:
@@ -638,14 +655,17 @@ class Population:
             if entry is not None:
                 entry.waiters.append(req)
             else:
-                entry = _Outstanding(seg, now)
-                entry.waiters.append(req)
-                self.outstanding[name] = entry
+                self.outstanding[name] = _Outstanding(seg, now, req)
                 self._issue_interest(name)
 
     def _issue_interest(self, name: Name):
         interest = Interest(name, self.rng.getrandbits(64), self.lifetime_ms)
         self.host.inject_interest(self.app_face, interest)
+
+    def _end(self, now: float, req: _Request, status: str):
+        req.done = True
+        self._record(req.rid, req.t_issue, now, req.served_by, status, req.nbytes,
+                     req.attempts)
 
     # -- data arrival -------------------------------------------------------------
 
@@ -684,26 +704,9 @@ class Population:
             if seg == 0:
                 req.served_by = served_by
             if req.got == self.seg_count:
-                self._complete(now, req)
+                self._end(now, req, "ok")
             else:
                 self._advance(now, req)
-
-    def _complete(self, now: float, req: _Request):
-        req.done = True
-        self.active -= 1
-        self.records.append(RequestRecord(
-            req.rid, self.region, self.host.id, str(self.content),
-            self.resolution, req.t_issue, now, now - req.t_issue,
-            req.served_by, "ok", req.nbytes, req.attempts))
-
-    def _fail(self, now: float, req: _Request):
-        req.done = True
-        self.active -= 1
-        self.failed += 1
-        self.records.append(RequestRecord(
-            req.rid, self.region, self.host.id, str(self.content),
-            self.resolution, req.t_issue, now, now - req.t_issue,
-            req.served_by, "failed", req.nbytes, req.attempts))
 
     # -- retransmission -------------------------------------------------------------
 
@@ -727,7 +730,7 @@ class Population:
                 for req in list(entry.waiters):
                     if not req.done:
                         req.attempts = entry.attempts
-                        self._fail(now, req)
+                        self._end(now, req, "failed")
                 del self.outstanding[name]
                 continue
             entry.attempts += 1
@@ -740,11 +743,8 @@ class Population:
         else:
             self._watchdog_on = False
 
-    def finished(self) -> bool:
-        return self.issued >= self.request_count and self.active == 0
 
-
-class IpPopulation:
+class IpPopulation(_Consumers):
     """Baseline consumers fetching whole contents over plain IP."""
 
     def __init__(self, net: Network, host: Host, region: str, content: Name,
@@ -752,46 +752,21 @@ class IpPopulation:
                  target_node: str, request_count: int, pattern: tuple,
                  rng, records: list[RequestRecord], rid_counter,
                  timeout_ms: float = 30_000.0):
-        self.net = net
-        self.host = host
-        self.region = region
-        self.content = content
+        super().__init__(net, host, region, content, resolution, request_count,
+                         pattern, rng, records, rid_counter)
         self.content_id = content_id
-        self.resolution = resolution
         self.content_size = content_size
         self.target = target_node
-        self.request_count = request_count
-        self.pattern = pattern
-        self.rng = rng
-        self.records = records
-        self.rid_counter = rid_counter
         self.timeout_ms = timeout_ms
-        self.issued = 0
-        self.active = 0
-        self._live: dict[int, tuple[int, float, Event]] = {}  # rid -> (record id, t_issue, timeout)
+        self._live: dict[int, tuple[int, float, Event]] = {}  # ip id -> (rid, t_issue, timeout)
 
-    def start(self):
-        if self.request_count <= 0:
-            return
-        self.net.schedule(0.0, self._issue_request)
-
-    def _next_gap(self) -> float:
-        if self.pattern[0] == "uniform":
-            return self.pattern[1]
-        return self.rng.expovariate(self.pattern[1]) * 1000.0
-
-    def _issue_request(self, now: float):
-        rid = self.host.next_request_id()
-        rec_id = next(self.rid_counter)
-        self.issued += 1
-        self.active += 1
-        if self.issued < self.request_count:
-            self.net.schedule(now + self._next_gap(), self._issue_request)
+    def _begin(self, now: float, rid: int):
+        ip_id = self.host.next_request_id()
         ev = self.net.schedule(now + self.timeout_ms,
-                               lambda t, rid=rid: self._timeout(t, rid))
-        self._live[rid] = (rec_id, now, ev)
-        self.host.await_ip_response(rid, self._on_response)
-        req = IpRequest(self.host.id, self.target, rid, self.content_id,
+                               lambda t, ip_id=ip_id: self._timeout(t, ip_id))
+        self._live[ip_id] = (rid, now, ev)
+        self.host.await_ip_response(ip_id, self._on_response)
+        req = IpRequest(self.host.id, self.target, ip_id, self.content_id,
                         self.resolution, None)
         self.host.send_ip(req, IP_REQUEST_BYTES)
 
@@ -799,28 +774,18 @@ class IpPopulation:
         meta = self._live.pop(msg.request_id, None)
         if meta is None:
             return
-        rec_id, t_issue, ev = meta
+        rid, t_issue, ev = meta
         self.net.cancel(ev)
-        self.active -= 1
         ok = (msg.error is None and msg.payload is not None
               and len(msg.payload) == self.content_size
               and compute_digest(msg.payload) == msg.digest)
-        self.records.append(RequestRecord(
-            rec_id, self.region, self.host.id, str(self.content),
-            self.resolution, t_issue, now, now - t_issue, msg.src,
-            "ok" if ok else "failed",
-            len(msg.payload) if msg.payload else 0))
+        self._record(rid, t_issue, now, msg.src, "ok" if ok else "failed",
+                     len(msg.payload) if msg.payload else 0)
 
-    def _timeout(self, now: float, rid: int):
-        meta = self._live.pop(rid, None)
+    def _timeout(self, now: float, ip_id: int):
+        meta = self._live.pop(ip_id, None)
         if meta is None:
             return
-        self.host.forget_ip_response(rid)
-        rec_id, t_issue, _ev = meta
-        self.active -= 1
-        self.records.append(RequestRecord(
-            rec_id, self.region, self.host.id, str(self.content),
-            self.resolution, t_issue, now, now - t_issue, "", "failed", 0))
-
-    def finished(self) -> bool:
-        return self.issued >= self.request_count and self.active == 0
+        self.host.forget_ip_response(ip_id)
+        rid, t_issue, _ev = meta
+        self._record(rid, t_issue, now, "", "failed", 0)

@@ -138,8 +138,8 @@ def test_criterion_6_analytic_oracle_equivalence():
             nxt_face = hosts[ids[i]].face_by_peer[ids[i + 1]]
             hosts[ids[i]].fwd.fib_insert(Name.parse("/x"), [(nxt_face, 1)])
         records = []
-        pop = Population(net, hosts[ids[0]], "T", content, "hd", len(payload), 1,
-                         1, ("uniform", 0.0), 4500.0, random.Random(3), records,
+        pop = Population(net, hosts[ids[0]], "T", content, "hd", 1, 1,
+                         ("uniform", 0.0), 4500.0, random.Random(3), records,
                          itertools.count(0))
         pop.start()
         net.run_to_completion()
@@ -202,7 +202,7 @@ def test_criterion_7_conservation_and_integrity(reference_run):
 
     net.delivery_filter = corrupt_once
     records = []
-    pop = Population(net, hosts["a"], "T", content, "hd", len(payload), 1, 1,
+    pop = Population(net, hosts["a"], "T", content, "hd", 1, 1,
                      ("uniform", 0.0), 4500.0, random.Random(5), records,
                      itertools.count(0))
     pop.start()

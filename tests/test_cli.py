@@ -34,6 +34,14 @@ def test_validate_broken_scenario(tmp_path, capsys):
     assert "topology.links.0" in diag["path"]
 
 
+def test_validate_untranscoded_variant_exits_2(capsys):
+    # 360p is declared for the content but no transcode op produces it.
+    assert main(["validate", str(MINI), "--set",
+                 "populations.0.content=/cdn/clip/360p"]) == 2
+    diag = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (diag["code"], diag["path"]) == ("bad-reference", "populations.0.content")
+
+
 def test_run_mini_writes_output_suite(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(MINI), "--out", str(out)]) == 0

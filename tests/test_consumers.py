@@ -14,10 +14,10 @@ CONTENT = Name.parse("/x/clip/hd")
 FRESH = 10_000_000
 
 
-def make_population(net, host, seg_count, size, count=1, interval=0.0,
+def make_population(net, host, seg_count, count=1, interval=0.0,
                     retransmit=4500.0, window=4, seed=1):
     records = []
-    pop = Population(net, host, "T", CONTENT, "hd", size, seg_count, count,
+    pop = Population(net, host, "T", CONTENT, "hd", seg_count, count,
                      ("uniform", interval), retransmit, random.Random(seed),
                      records, itertools.count(0), window=window)
     return pop, records
@@ -34,7 +34,7 @@ def test_warm_cache_two_node_analytic_delivery():
     payload = b"p" * 900
     preload(hosts["b"], payload)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
-    pop, records = make_population(net, hosts["a"], 1, len(payload))
+    pop, records = make_population(net, hosts["a"], 1)
     pop.start()
     net.run_to_completion()
     assert len(records) == 1 and records[0].status == "ok"
@@ -55,7 +55,7 @@ def test_three_node_chain_analytic_delivery():
     preload(hosts["c"], payload)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
     hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])  # face 1 = toward c
-    pop, records = make_population(net, hosts["a"], 1, len(payload))
+    pop, records = make_population(net, hosts["a"], 1)
     pop.start()
     net.run_to_completion()
     seg = CONTENT.segment(0)
@@ -67,7 +67,7 @@ def test_three_node_chain_analytic_delivery():
 
 def test_zero_request_population_produces_no_records():
     net, hosts = build_chain([("a", 0), ("b", 1 << 20)], [("a", "b", 1.0, 100.0)])
-    pop, records = make_population(net, hosts["a"], 1, 10, count=0)
+    pop, records = make_population(net, hosts["a"], 1, count=0)
     pop.start()
     net.run_to_completion()
     assert records == []
@@ -79,7 +79,7 @@ def test_multi_segment_window_and_byte_conservation():
     payload = bytes(range(256)) * 20  # 5120 bytes, 5 segments of 1024
     preload(hosts["b"], payload, chunk=1024)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
-    pop, records = make_population(net, hosts["a"], 5, len(payload), count=3,
+    pop, records = make_population(net, hosts["a"], 5, count=3,
                                    interval=1.0, window=4)
     pop.start()
     net.run_to_completion()
@@ -94,7 +94,7 @@ def test_concurrent_requests_share_outstanding_interests():
     preload(hosts["b"], payload)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
     # Ten requests issued while the first is still in flight: one wire interest.
-    pop, records = make_population(net, hosts["a"], 1, len(payload), count=10,
+    pop, records = make_population(net, hosts["a"], 1, count=10,
                                    interval=0.5)
     pop.start()
     net.run_to_completion()
@@ -124,7 +124,7 @@ def test_corruption_drops_then_retransmission_recovers():
         return msg
 
     net.delivery_filter = corrupt_once
-    pop, records = make_population(net, hosts["a"], 1, len(payload))
+    pop, records = make_population(net, hosts["a"], 1)
     pop.start()
     net.run_to_completion()
     assert corrupted, "the corruption hook never fired"
@@ -140,7 +140,7 @@ def test_corruption_drops_then_retransmission_recovers():
 def test_retransmission_exhaustion_fails_request():
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 1.0, 100.0)])
     # No route anywhere: every interest drops, the request must fail.
-    pop, records = make_population(net, hosts["a"], 1, 10, retransmit=1000.0)
+    pop, records = make_population(net, hosts["a"], 1, retransmit=1000.0)
     pop.start()
     net.run_to_completion()
     assert len(records) == 1
@@ -155,7 +155,7 @@ def test_late_request_refetches_through_local_cache():
     payload = b"w" * 300
     preload(hosts["b"], payload)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
-    pop, records = make_population(net, hosts["a"], 1, len(payload), count=2,
+    pop, records = make_population(net, hosts["a"], 1, count=2,
                                    interval=100.0)
     pop.start()
     net.run_to_completion()

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from icnsim.harness import build_and_run, publish_bench, run_scenario
+from icnsim.ndn import Name
 from icnsim.scenario import ScenarioError, load_scenario
 
 from conftest import MINI
@@ -63,14 +65,17 @@ def test_transcoded_variant_served_through_gateway(tmp_path):
     assert all(r.resolution == "360p" for r in run.records)
 
 
-def test_unknown_resolution_request_times_out_as_failed(tmp_path):
-    # The variant was never transcoded: the gateway has no mapping for it,
-    # so interests fall through to no-route and retransmission exhausts.
-    doc = load_mini_doc()
-    doc["populations"][0]["content"] = "/cdn/clip/360p"
-    doc["populations"][0]["request_count"] = 1
-    doc["populations"][0]["retransmit_ms"] = 50
-    run = run_doc(doc, tmp_path)
+def test_unknown_resolution_request_times_out_as_failed():
+    # The variant was never transcoded, which validation rejects, so the
+    # population is pointed at it after parsing. The gateway has no
+    # mapping for it: interests fall through to no-route and
+    # retransmission exhausts.
+    scenario, diags = load_scenario(MINI)
+    assert diags == []
+    scenario.populations[0] = dataclasses.replace(
+        scenario.populations[0], content=Name.parse("/cdn/clip/360p"),
+        resolution="360p", content_size=4096, request_count=1, retransmit_ms=50.0)
+    run = build_and_run(scenario)
     assert [r.status for r in run.records] == ["failed"]
 
 

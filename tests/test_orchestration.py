@@ -202,6 +202,14 @@ def test_link_configures_prefix_map_from_catalog():
         Name.parse("/cdn/v42/1080p"): ("v42", "1080p")}
 
 
+def test_upload_after_link_extends_prefix_map():
+    net, orch, cdn, icn, gw = linked_world()
+    orch.upload(cdn, "v7", b"q" * 10, "480p")
+    assert net.hosts[gw].fwd.origin_ref.prefix_map == {
+        Name.parse("/cdn/v42/1080p"): ("v42", "1080p"),
+        Name.parse("/cdn/v7/480p"): ("v7", "480p")}
+
+
 def test_relink_is_idempotent():
     net, orch, cdn, icn, gw = linked_world()
     gw2 = orch.link_slices(cdn, icn, 1.0, [], Name.parse("/cdn"))
