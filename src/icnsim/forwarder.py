@@ -1,9 +1,10 @@
 """The NDN node state machine.
 
 A forwarder owns three tables (content store, pending interest table,
-forwarding information base) and processes one packet at a time. Its
-only externally visible effect is the list of actions it returns, so it
-can be driven and tested without any network.
+forwarding information base) and processes one packet at a time. It
+returns the packets its host must send; a dropped packet returns none
+and is recorded once, in ``Counters.drop``. So a forwarder can be
+driven and tested without any network.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ class SendData:
     data: Data
 
 
-@dataclass(slots=True)
-class Drop:
-    reason: str
-
-
-Action = SendInterest | SendData | Drop
+Action = SendInterest | SendData
 
 
 class Counters:
@@ -186,7 +182,7 @@ class Forwarder:
     """One NDN node: CS + PIT with aggregation + longest-prefix FIB.
 
     Single-threaded by contract; all methods take the current simulated
-    time explicitly and return the actions to perform.
+    time explicitly and return the packets to send.
     """
 
     def __init__(self, cs_capacity_bytes: int = 0):
@@ -255,24 +251,16 @@ class Forwarder:
     # -- packet pipeline ---------------------------------------------------
 
     def on_interest(self, now: float, face: int, interest: Interest) -> list[Action]:
-        if face not in self.faces:
-            raise UnknownFace(face)
+        if not self._admit(face, interest):
+            return []
         c = self.counters
-        if interest.hop_limit == 0 or self._nonces.seen(interest.name, interest.nonce):
-            c.drop(DROP_LOOP)
-            return [Drop(DROP_LOOP)]
         data = self.cs.lookup(now, interest.name)
         if data is not None:
             c.cs_hits += 1
             return [SendData(face, data)]
         c.cs_misses += 1
-        entry = self.pit.get(interest.name)
-        if entry is not None:
-            entry.add(face, interest.nonce)
+        if self._aggregate(face, interest):
             return []
-        return self._forward_new(now, face, interest)
-
-    def _forward_new(self, now: float, face: int, interest: Interest) -> list[Action]:
         fe = self.fib_longest_prefix_match(interest.name)
         hop = None
         if fe is not None:
@@ -281,27 +269,47 @@ class Forwarder:
                     hop = f
                     break
         if hop is None:
-            self.counters.drop(DROP_NO_ROUTE)
-            return [Drop(DROP_NO_ROUTE)]
+            c.drop(DROP_NO_ROUTE)
+            return []
         if interest.hop_limit <= 1:
             # Forwarding would emit hop_limit 0, which is never legal.
+            c.drop(DROP_LOOP)
+            return []
+        self._pit_insert(now, face, interest)
+        return [SendInterest(hop, interest.decremented())]
+
+    def _admit(self, face: int, interest: Interest) -> bool:
+        """Face check and loop suppression; a looping interest is dropped."""
+        if face not in self.faces:
+            raise UnknownFace(face)
+        if interest.hop_limit == 0 or self._nonces.seen(interest.name, interest.nonce):
             self.counters.drop(DROP_LOOP)
-            return [Drop(DROP_LOOP)]
+            return False
+        return True
+
+    def _aggregate(self, face: int, interest: Interest) -> bool:
+        """Add the interest to a pending entry of its name, if there is one."""
+        entry = self.pit.get(interest.name)
+        if entry is None:
+            return False
+        entry.add(face, interest.nonce)
+        return True
+
+    def _pit_insert(self, now: float, face: int, interest: Interest):
         self.pit[interest.name] = PitEntry(
             interest.name, {(face, interest.nonce)}, {face: None},
             now + interest.lifetime_ms)
-        return [SendInterest(hop, interest.decremented())]
 
     def on_data(self, now: float, face: int, d: Data) -> list[Action]:
         if face not in self.faces:
             raise UnknownFace(face)
         if compute_digest(d.payload) != d.digest:
             self.counters.drop(DROP_INTEGRITY)
-            return [Drop(DROP_INTEGRITY)]
+            return []
         entry = self.pit.pop(d.name, None)
         if entry is None:
             self.counters.drop(DROP_UNSOLICITED)
-            return [Drop(DROP_UNSOLICITED)]
+            return []
         self.cs_insert(now, d)
         return [SendData(f, d) for f in entry.faces if f != face]
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forwarder import (DROP_LOOP, DROP_NO_ROUTE, Action, Drop, Forwarder,
-                        PitEntry, SendData, UnknownFace)
+from .forwarder import DROP_NO_ROUTE, Action, Forwarder, SendData
 from .ndn import DEFAULT_CHUNK_SIZE, Data, Interest, Name, chunk_content
 from .origin import UnknownContent
 
@@ -85,32 +84,25 @@ class Gateway(Forwarder):
             return None
         return base, m[0], m[1]
 
-    def on_interest(self, now: float, face: int, interest: Interest) -> list[Action]:
+    def on_interest(self, now: float, face: int,
+                    interest: Interest) -> list[Action | PendingFetch]:
         served = self._served_lookup(interest.name)
         if served is None:
             return super().on_interest(now, face, interest)
+        if not self._admit(face, interest):
+            return []
         base, content_id, resolution = served
-        if face not in self.faces:
-            raise UnknownFace(face)
-        c = self.counters
-        if interest.hop_limit == 0 or self._nonces.seen(interest.name, interest.nonce):
-            c.drop(DROP_LOOP)
-            return [Drop(DROP_LOOP)]
         d = self.repo.get(interest.name)
         if d is not None:
-            c.cs_hits += 1
+            self.counters.cs_hits += 1
             return [SendData(face, d)]
         if base in self.published:
             # Published content cannot grow a segment; the request is bogus.
-            c.drop(DROP_NO_ROUTE)
-            return [Drop(DROP_NO_ROUTE)]
-        entry = self.pit.get(interest.name)
-        if entry is not None:
-            entry.add(face, interest.nonce)
+            self.counters.drop(DROP_NO_ROUTE)
             return []
-        self.pit[interest.name] = PitEntry(
-            interest.name, {(face, interest.nonce)}, {face: None},
-            now + interest.lifetime_ms)
+        if self._aggregate(face, interest):
+            return []
+        self._pit_insert(now, face, interest)
         if base in self.pending:
             # At most one concurrent origin fetch per content.
             return []
@@ -135,6 +127,17 @@ class Gateway(Forwarder):
             self.repo[d.name] = d
             self.repo_bytes += len(d.payload)
         self.published[base] = len(segments)
+        return len(segments), self._drain(base)
+
+    def fetch_failed(self, base: Name):
+        """Abort a pending fetch; waiting interests drop as no-route."""
+        self._drain(base)
+
+    def _drain(self, base: Name) -> list[Action]:
+        """End the fetch of ``base`` and remove every pending entry under it.
+
+        Entries the repo holds are answered; the others drop as no-route.
+        """
         self.pending.discard(base)
         actions: list[Action] = []
         for name in [n for n in self.pit if base.is_prefix_of(n)]:
@@ -142,19 +145,8 @@ class Gateway(Forwarder):
             d = self.repo.get(name)
             if d is None:
                 self.counters.drop(DROP_NO_ROUTE)
-                actions.append(Drop(DROP_NO_ROUTE))
-                continue
-            actions.extend(SendData(f, d) for f in entry.faces)
-        return len(segments), actions
-
-    def fetch_failed(self, base: Name) -> list[Action]:
-        """Abort a pending fetch; waiting interests drop as no-route."""
-        self.pending.discard(base)
-        actions: list[Action] = []
-        for name in [n for n in self.pit if base.is_prefix_of(n)]:
-            del self.pit[name]
-            self.counters.drop(DROP_NO_ROUTE)
-            actions.append(Drop(DROP_NO_ROUTE))
+            else:
+                actions.extend(SendData(f, d) for f in entry.faces)
         return actions
 
     def mem_model_bytes(self) -> int:

@@ -310,6 +310,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     slice_allocs: dict[str, list] = {}
     vims = {d.name: Vim(d) for d in domains}
     produced: set[tuple[str, str]] = set()  # (content_id, resolution)
+    seen_links: set[tuple[str, str]] = set()  # linked node pairs, (low, high)
     link_prefixes: list[Name] = []
     for i, op in enumerate(doc.get("northbound", [])):
         path = "northbound.%d" % i
@@ -353,6 +354,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                 bw = _want(diags, l, "bandwidth_mbps", (int, float), lpath, required=True)
                 if None not in (a, b, lat, bw):
                     links.append((a, b, float(lat), float(bw)))
+                    seen_links.add((a, b) if a < b else (b, a))
             spec = SliceSpec(skind, float(duration or 0), vnfs, links)
             if len(diags) == parsed:
                 # Every vnf and link parsed, so rule sub-paths index the document.
@@ -423,7 +425,6 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         northbound.append(rec)
 
     links: list[LinkDef] = []
-    seen_links = set()
     for i, l in enumerate(topo.get("links", [])):
         path = "topology.links.%d" % i
         a = _want(diags, l, "a", str, path, required=True)

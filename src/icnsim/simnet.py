@@ -56,11 +56,6 @@ class _LinkDir:
 
 
 @dataclass(slots=True)
-class WireInterest:
-    interest: Interest
-
-
-@dataclass(slots=True)
 class WireData:
     data: Data
     served_by: str
@@ -388,18 +383,15 @@ class Host:
         self.rx_bucket += nbytes
         self.charge_packet()
         kind = type(msg)
-        if kind is WireInterest:
+        if kind is Interest or kind is WireData:
             face = self.face_by_peer.get(src)
             if face is None or self.fwd is None:
                 c.drop(DROP_NO_ROUTE)
                 return
-            self._emit(self.fwd.on_interest(now, face, msg.interest), self.id)
-        elif kind is WireData:
-            face = self.face_by_peer.get(src)
-            if face is None or self.fwd is None:
-                c.drop(DROP_NO_ROUTE)
-                return
-            self._emit(self.fwd.on_data(now, face, msg.data), msg.served_by)
+            if kind is Interest:
+                self._emit(self.fwd.on_interest(now, face, msg), self.id)
+            else:
+                self._emit(self.fwd.on_data(now, face, msg.data), msg.served_by)
         else:
             self._handle_ip(now, msg, nbytes)
         self._touch_mem()
@@ -422,11 +414,9 @@ class Host:
             elif t is SendInterest:
                 peer = self.faces.get(a.face)
                 if peer is not None:
-                    self.net.send(self.id, peer, interest_wire_len(a.interest),
-                                  WireInterest(a.interest))
-            elif t is PendingFetch:
+                    self.net.send(self.id, peer, interest_wire_len(a.interest), a.interest)
+            else:
                 self._start_fetch(now, a)
-            # Drop actions were already counted by the forwarder.
 
     # -- IP side ---------------------------------------------------------------
 
@@ -482,7 +472,8 @@ class Host:
 
     def _end_fetch(self, now: float, rid: int, msg: IpResponse | None):
         """Publish the fetched content, or fail its waiters on an error
-        response or, with ``msg`` None, on the timeout."""
+        response, on a payload that does not match its digest or, with
+        ``msg`` None, on the timeout."""
         fetch = self._fetches.pop(rid, None)
         if fetch is None:
             return
@@ -490,8 +481,9 @@ class Host:
         gw = self.fwd
         if msg is not None:
             self.net.cancel(ev)
-        if msg is None or msg.error is not None or msg.payload is None:
-            self._emit(gw.fetch_failed(pf.base), self.id)
+        if (msg is None or msg.error is not None or msg.payload is None
+                or compute_digest(msg.payload) != msg.digest):
+            gw.fetch_failed(pf.base)
             return
         _count, actions = gw.publish_content_to_icn(now, pf.content_id, pf.resolution,
                                                     msg.payload)

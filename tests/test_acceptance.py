@@ -285,3 +285,20 @@ def test_criterion_10_quota_conservation():
             orch.destroy_slice(live.pop(rng.randrange(len(live))))
         assert orch.quota_snapshot() == initial
     _passed(10, "quota ledger exact over 10000 random create/destroy ops")
+
+
+# SHA-256 of each reference output file. A change that alters one changes
+# simulation output and must say which bytes changed and why.
+REFERENCE_DIGESTS = {
+    "requests.csv": "321ada8efca155cba45b0e5d5eed20fead73b0281b9e8b4aaf2a91564d1ef34c",
+    "node_counters.csv": "9641d22bddf54ba4be6c9c6a304cb19bced1f771ac6e6541ab3a3e1140307afa",
+    "timeseries.csv": "bb5231dda53aded7774ffaa9e97922b3f66975e0d8320b55f077d0f413e983c6",
+    "summary.txt": "9ad9015d3fa113afc6b84c51181ed69777f95f4aecae467dc85edcee77e6c85a",
+}
+
+
+def test_reference_output_digests(reference_run):
+    _run, _wall, out = reference_run
+    got = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+           for name in REFERENCE_DIGESTS}
+    assert got == REFERENCE_DIGESTS

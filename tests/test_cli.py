@@ -83,6 +83,19 @@ def test_run_invalid_scenario_exits_2(tmp_path, capsys):
     assert "ghost" in err
 
 
+def test_run_topology_link_duplicating_slice_link_exits_2(tmp_path, capsys):
+    # mini links edge and gw inside slice i1 already.
+    doc = json.loads(MINI.read_text())
+    doc["topology"]["links"].append({"a": "edge", "b": "gw", "latency_ms": 1,
+                                     "bandwidth_mbps": 10})
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert "topology.links.2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_runtime_failure_exits_3_and_removes_partial_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", str(MINI), "--out", str(out),

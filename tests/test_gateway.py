@@ -1,6 +1,6 @@
 import pytest
 
-from icnsim.forwarder import DROP_LOOP, DROP_NO_ROUTE, Drop, SendData, SendInterest
+from icnsim.forwarder import DROP_LOOP, DROP_NO_ROUTE, SendData, SendInterest
 from icnsim.gateway import (EmptyCandidates, Gateway, OriginRef, PendingFetch,
                             select_gateway)
 from icnsim.ndn import Interest, Name, hash_stream
@@ -70,7 +70,8 @@ def test_segment_beyond_final_is_no_route():
     g = gw()
     g.publish_content_to_icn(0.0, "v42", "720p", b"x" * 100)
     acts = g.on_interest(1.0, 1, Interest(BASE.segment(7), nonce=1))
-    assert acts == [Drop(DROP_NO_ROUTE)]
+    assert acts == []
+    assert g.counters.drops == {DROP_NO_ROUTE: 1}
 
 
 def test_unserved_names_use_normal_pipeline():
@@ -84,15 +85,16 @@ def test_loop_suppression_applies_to_served_names():
     g = gw()
     g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=5))
     acts = g.on_interest(0.1, 2, Interest(BASE.segment(0), nonce=5))
-    assert acts == [Drop(DROP_LOOP)]
+    assert acts == []
+    assert g.counters.drops == {DROP_LOOP: 1}
 
 
 def test_fetch_failed_drops_waiters():
     g = gw()
     g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=1))
     g.on_interest(0.1, 2, Interest(BASE.segment(1), nonce=2))
-    acts = g.fetch_failed(BASE)
-    assert acts == [Drop(DROP_NO_ROUTE), Drop(DROP_NO_ROUTE)]
+    assert g.fetch_failed(BASE) is None
+    assert g.counters.drops == {DROP_NO_ROUTE: 2}
     assert not g.pit and BASE not in g.pending
     # A later interest may retry the fetch.
     acts = g.on_interest(40.0, 1, Interest(BASE.segment(0), nonce=3))
@@ -113,7 +115,8 @@ def test_unconfigured_gateway_is_a_plain_forwarder():
     g = Gateway(cs_capacity_bytes=0)
     g.register_face(1)
     acts = g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=1))
-    assert acts == [Drop(DROP_NO_ROUTE)]
+    assert acts == []
+    assert g.counters.drops == {DROP_NO_ROUTE: 1}
 
 
 # -- gateway selection -------------------------------------------------------------

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from icnsim import harness
 from icnsim.harness import build_and_run, publish_bench, run_scenario
 from icnsim.ndn import Name
+from icnsim.origin import synthesize_payload
 from icnsim.scenario import ScenarioError, load_scenario
+from icnsim.simnet import IpResponse, Network
 
 from conftest import MINI
 
@@ -77,6 +80,36 @@ def test_unknown_resolution_request_times_out_as_failed():
         resolution="360p", content_size=4096, request_count=1, retransmit_ms=50.0)
     run = build_and_run(scenario)
     assert [r.status for r in run.records] == ["failed"]
+
+
+def test_corrupted_origin_response_is_refetched(monkeypatch):
+    # Flip byte 0 of the first origin response that reaches the gateway.
+    # The gateway must not publish it: its waiters drop, the consumer
+    # retransmits and a second fetch publishes the true bytes.
+    corrupted = []
+
+    def corrupt_first(now, src, dst, msg):
+        if not corrupted and dst == "gw" and type(msg) is IpResponse:
+            corrupted.append(now)
+            bad = bytearray(msg.payload)
+            bad[0] ^= 0xFF
+            return dataclasses.replace(msg, payload=bytes(bad))
+        return msg
+
+    class FilteredNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.delivery_filter = corrupt_first
+
+    monkeypatch.setattr(harness, "Network", FilteredNetwork)
+    run = run_scenario(MINI)
+    assert corrupted, "the corruption hook never fired"
+    assert [r.status for r in run.records] == ["ok"] * 6
+    gw = run.hosts["gw"].fwd
+    (base, count), = gw.published.items()
+    published = b"".join(gw.repo[base.segment(i)].payload for i in range(count))
+    assert published == synthesize_payload(run.scenario.seed, "clip", 16384)
+    assert run.origin_fetch_total() == 2
 
 
 def test_gateway_weight_zero_moves_gateway_toward_demand(tmp_path):

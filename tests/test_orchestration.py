@@ -140,13 +140,13 @@ def test_expiry_drops_traffic_toward_removed_nodes(rng):
     net, orch = make_orch()
     sid = orch.create_slice(table1_icn_spec())
     from icnsim.forwarder import Forwarder
-    from icnsim.simnet import Host, WireInterest
+    from icnsim.simnet import Host
     from icnsim.ndn import Interest
     edge = Host(net, "edge", fwd=Forwarder(0))
     net.add_host(edge)
     net.add_link("edge", "ndn-jp", 1.0, 100.0)
     orch.destroy_slice(sid)
-    ok = net.send("edge", "ndn-jp", 100, WireInterest(Interest(Name.parse("/x"), 1)))
+    ok = net.send("edge", "ndn-jp", 100, Interest(Name.parse("/x"), 1))
     assert not ok
     assert edge.counters.drops["no-route"] == 1
 

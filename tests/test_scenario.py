@@ -55,6 +55,15 @@ def test_duplicate_node_ids_rejected():
     assert any(d.code == "duplicate" for d in diags)
 
 
+def test_topology_link_duplicating_slice_link_rejected():
+    edge_gw = {"a": "edge", "b": "gw", "latency_ms": 1, "bandwidth_mbps": 10}
+    for link in (edge_gw, dict(edge_gw, a="gw", b="edge")):
+        doc = load_doc(MINI)
+        doc["topology"]["links"].append(link)
+        diags = validate_doc(doc)
+        assert [(d.code, d.path) for d in diags] == [("duplicate", "topology.links.2")]
+
+
 def test_bad_mode_rejected():
     doc = load_doc(MINI)
     doc["mode"] = "both"

@@ -2,8 +2,7 @@ import pytest
 
 from icnsim.forwarder import Forwarder
 from icnsim.ndn import Interest, Name
-from icnsim.simnet import (HorizonExceeded, Host, IpRequest, Network,
-                           WireInterest)
+from icnsim.simnet import HorizonExceeded, Host, IpRequest, Network
 
 from conftest import build_chain
 
@@ -156,6 +155,6 @@ def test_wire_interest_without_forwarder_drops():
     net.add_host(a)
     net.add_host(b)
     net.add_link("a", "b", 1.0, 100.0)
-    net.send("a", "b", 60, WireInterest(Interest(Name.parse("/x"), 1)))
+    net.send("a", "b", 60, Interest(Name.parse("/x"), 1))
     net.run_to_completion()
     assert b.counters.drops["no-route"] == 1
