@@ -47,7 +47,8 @@ class SimRun:
 
 
 class _Sampler:
-    """Periodic meter snapshot; one row per (bucket, node)."""
+    """Periodic meter snapshot: one row per (bucket, node) with the change
+    of the node's cumulative meters; a removed host gets one last row."""
 
     def __init__(self, net: Network, bucket_ms: float, samples: list[Sample],
                  populations: list):
@@ -56,20 +57,24 @@ class _Sampler:
         self.samples = samples
         self.populations = populations
         self._last = 0.0
+        self._marks: dict[str, tuple[float, int, int]] = {}  # node -> (busy, rx, tx)
 
     def start(self):
         self.net.schedule(self.bucket_ms, self._tick, real=False)
 
     def _flush(self, now: float, width: float):
         start = now - width
-        for node in sorted(self.net.hosts):
-            h = self.net.hosts[node]
-            util = min(1.0, h.busy_bucket / width) if width > 0 else 0.0
+        hosts = self.net.all_hosts
+        for node in sorted(hosts):
+            h = hosts[node]
+            meters = (h.busy_ms_total, h.counters.rx_bytes, h.counters.tx_bytes)
+            busy, rx, tx = self._marks.get(node, (0.0, 0, 0))
+            if node not in self.net.hosts and meters == (busy, rx, tx):
+                continue
+            self._marks[node] = meters
+            util = min(1.0, (meters[0] - busy) / width) if width > 0 else 0.0
             self.samples.append(Sample(start, node, util, h.mem_bytes(),
-                                       h.rx_bucket, h.tx_bucket))
-            h.busy_bucket = 0.0
-            h.rx_bucket = 0
-            h.tx_bucket = 0
+                                       meters[1] - rx, meters[2] - tx))
         self._last = now
 
     def _tick(self, now: float):
@@ -83,21 +88,16 @@ class _Sampler:
 
 
 def _start_pit_sweeps(net: Network, period_ms: float):
-    def arm(host: Host):
-        if host.fwd is None:
-            return
+    """Expire the PIT entries of every forwarder, hosts added later included."""
+    def sweep(now: float):
+        fwds = [h.fwd for h in net.all_hosts.values() if h.fwd is not None]
+        for fwd in fwds:
+            fwd.pit_expire(now)
+        if net.active() or any(fwd.pit for fwd in fwds):
+            net.schedule(now + period_ms, sweep, real=False)
 
-        def sweep(now: float, host=host):
-            host.fwd.pit_expire(now)
-            if net.active() or host.fwd.pit:
-                net.schedule(now + period_ms, sweep, real=False)
-
-        # Offset by half a period so sweeps never collide with round timers.
-        net.schedule(period_ms / 2.0, sweep, real=False)
-
-    for h in net.hosts.values():
-        arm(h)
-    net.host_added_cb = arm
+    # Offset by half a period so sweeps never collide with round timers.
+    net.schedule(period_ms / 2.0, sweep, real=False)
 
 
 def build_and_run(scenario: Scenario) -> SimRun:

@@ -188,15 +188,6 @@ class VnfInstance:
 
 
 @dataclass(slots=True)
-class UsageReport:
-    instance_id: int
-    node: str
-    role: str
-    cpu_busy_ms: float
-    mem_bytes_peak: int
-
-
-@dataclass(slots=True)
 class ScaleRequest:
     slice_id: int
     instance_id: int
@@ -239,7 +230,7 @@ class Orchestrator:
 
     def create_slice(self, spec: SliceSpec, now: float = 0.0) -> int:
         """Allocate and instantiate a slice; all-or-nothing."""
-        faults = slice_faults(spec, self.vims, self.net.hosts)
+        faults = slice_faults(spec, self.vims, self.net.all_hosts)
         if faults:
             raise ValueError(faults[0][2])
         allocs = allocate_all(self.vims, spec.vnfs)
@@ -397,11 +388,7 @@ class Orchestrator:
             cost = int(round(self.net.shortest_latency(host.id, gw_node)))
             host.fwd.fib_insert(prefix, [(face, cost)])
 
-    # -- reporting and scaling -----------------------------------------------------
-
-    def vnf_report(self, inst: VnfInstance) -> UsageReport:
-        return UsageReport(inst.id, inst.node, inst.role,
-                           inst.host.busy_ms_total, inst.host.mem_peak)
+    # -- scaling -------------------------------------------------------------------
 
     def scale_check(self, sid: int, now: float) -> ScaleRequest | None:
         """Report the first instance whose trailing-window cpu utilization

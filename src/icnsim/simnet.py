@@ -97,7 +97,6 @@ class Network:
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self._trace = hashlib.sha256() if trace else None
         self.delivery_filter: Callable | None = None
-        self.host_added_cb: Callable[["Host"], None] | None = None
 
     # -- scheduling --------------------------------------------------------
 
@@ -157,14 +156,13 @@ class Network:
     # -- topology ----------------------------------------------------------
 
     def add_host(self, host: "Host"):
-        if host.id in self.hosts:
+        """Add a host under an id unused in this run, removed hosts included."""
+        if host.id in self.all_hosts:
             raise ValueError("duplicate node id %r" % host.id)
         self.hosts[host.id] = host
         self.all_hosts[host.id] = host
         self._adj.setdefault(host.id, [])
         self._route_cache.clear()
-        if self.host_added_cb is not None:
-            self.host_added_cb(host)
 
     def remove_host(self, node: str):
         host = self.hosts.pop(node, None)
@@ -260,8 +258,6 @@ class Network:
         c = shost.counters
         c.tx_pkts += 1
         c.tx_bytes += nbytes
-        shost.tx_bucket += nbytes
-        shost.charge_packet()
 
         def _deliver(now, src=src, dst=dst, msg=msg, nbytes=nbytes):
             h = self.hosts.get(dst)
@@ -284,10 +280,9 @@ class Host:
     origin service, forward plain IP messages hop by hop, or any mix.
     """
 
-    __slots__ = ("net", "id", "role", "fwd", "origin", "vcpus", "cost_ms",
+    __slots__ = ("net", "id", "role", "fwd", "origin", "packet_ms", "cpu_ms",
                  "counters", "faces", "face_by_peer", "apps", "_next_face",
-                 "busy_ms_total", "busy_bucket", "rx_bucket", "tx_bucket",
-                 "mem_peak", "origin_timeout_ms", "_fetches", "_next_rid",
+                 "origin_timeout_ms", "_fetches", "_next_rid",
                  "_ip_waiters", "publish_hook")
 
     def __init__(self, net: Network, node_id: str, role: str = "host",
@@ -299,18 +294,13 @@ class Host:
         self.role = role
         self.fwd = fwd
         self.origin = origin
-        self.vcpus = max(1, vcpus)
-        self.cost_ms = per_packet_cost_ms
+        self.packet_ms = per_packet_cost_ms / max(1, vcpus)
+        self.cpu_ms = 0.0
         self.counters = fwd.counters if fwd is not None else Counters()
         self.faces: dict[int, str] = {}
         self.face_by_peer: dict[str, int] = {}
         self.apps: dict[int, Callable] = {}
         self._next_face = 0
-        self.busy_ms_total = 0.0
-        self.busy_bucket = 0.0
-        self.rx_bucket = 0
-        self.tx_bucket = 0
-        self.mem_peak = 0
         self.origin_timeout_ms = origin_timeout_ms
         self._fetches: dict[int, tuple[PendingFetch, float, Event]] = {}  # (fetch, start, timeout)
         self._next_rid = 0
@@ -352,14 +342,14 @@ class Host:
 
     # -- meters ---------------------------------------------------------------
 
-    def charge_packet(self):
-        ms = self.cost_ms / self.vcpus
-        self.busy_ms_total += ms
-        self.busy_bucket += ms
+    @property
+    def busy_ms_total(self) -> float:
+        """CPU ms used: a cost per packet sent or received plus ``charge_ms`` work."""
+        c = self.counters
+        return (c.rx_pkts + c.tx_pkts) * self.packet_ms + self.cpu_ms
 
     def charge_ms(self, ms: float):
-        self.busy_ms_total += ms
-        self.busy_bucket += ms
+        self.cpu_ms += ms
 
     def mem_bytes(self) -> int:
         total = 0
@@ -369,19 +359,12 @@ class Host:
             total += self.origin.store_bytes
         return total
 
-    def _touch_mem(self):
-        m = self.mem_bytes()
-        if m > self.mem_peak:
-            self.mem_peak = m
-
     # -- packet handling -------------------------------------------------------
 
     def receive(self, now: float, src: str, msg, nbytes: int):
         c = self.counters
         c.rx_pkts += 1
         c.rx_bytes += nbytes
-        self.rx_bucket += nbytes
-        self.charge_packet()
         kind = type(msg)
         if kind is Interest or kind is WireData:
             face = self.face_by_peer.get(src)
@@ -394,7 +377,6 @@ class Host:
                 self._emit(self.fwd.on_data(now, face, msg.data), msg.served_by)
         else:
             self._handle_ip(now, msg, nbytes)
-        self._touch_mem()
 
     def inject_interest(self, face: int, interest: Interest):
         """Feed an interest from a local application face."""
@@ -490,7 +472,6 @@ class Host:
         if self.publish_hook is not None:
             self.publish_hook(pf.content_id, pf.resolution, len(msg.payload), now - started)
         self._emit(actions, self.id)
-        self._touch_mem()
 
 
 @dataclass(slots=True)
@@ -563,7 +544,8 @@ class _Consumers:
 
     def start(self):
         if self.request_count > 0:
-            self.net.schedule(0.0, self._arrive)
+            first = 0.0 if self.pattern[0] == "uniform" else self._next_gap()
+            self.net.schedule(first, self._arrive)
 
     def _next_gap(self) -> float:
         if self.pattern[0] == "uniform":

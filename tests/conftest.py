@@ -28,3 +28,14 @@ def build_chain(node_specs, links):
     for a, b, lat, bw in links:
         net.add_link(a, b, lat, bw)
     return net, hosts
+
+
+def assert_timeseries_adds_up(run):
+    """Each node's time-series byte columns sum to its cumulative counters."""
+    rx = {node: 0 for node in run.hosts}
+    tx = dict(rx)
+    for s in run.samples:
+        rx[s.node] += s.link_in_bytes
+        tx[s.node] += s.link_out_bytes
+    assert rx == {n: h.counters.rx_bytes for n, h in run.hosts.items()}
+    assert tx == {n: h.counters.tx_bytes for n, h in run.hosts.items()}

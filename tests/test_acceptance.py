@@ -23,7 +23,7 @@ from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator, QuotaExceede
                                   SliceSpec, VnfSpec)
 from icnsim.simnet import Network, Population, WireData
 
-from conftest import REFERENCE, build_chain
+from conftest import REFERENCE, assert_timeseries_adds_up, build_chain
 
 NDN_ROLES = ("ndn-node", "ndn-gateway")
 CDN_ROLES = ("cache", "streamer", "transcoder")
@@ -176,6 +176,7 @@ def test_criterion_7_conservation_and_integrity(reference_run):
     ok = [r for r in run.records if r.status == "ok"]
     assert len(ok) == 3000
     assert all(r.bytes_received == size for r in ok)
+    assert_timeseries_adds_up(run)
     # Injected single-byte corruption: integrity drop plus retransmission,
     # never a corrupted delivery.
     content = Name.parse("/x/clip/hd")

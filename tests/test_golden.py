@@ -1,10 +1,13 @@
-"""Output bytes of the mini scenario, pinned by SHA-256.
+"""Output bytes of the mini scenario and of a Poisson variant, pinned by
+SHA-256.
 
 A change that alters any of these digests changes simulation output and
 must say which bytes changed and why, then update the constants.
 """
 
+import copy
 import hashlib
+import json
 
 import pytest
 
@@ -27,10 +30,58 @@ GOLDEN = {
     },
 }
 
+# The Poisson variant pins the order of seeded draws between arrivals and
+# interest nonces, a transcode, and content-store evictions at the edge.
+GOLDEN_POISSON = {
+    "icn": {
+        "requests.csv": "633cdad7bb6a8d4e64f51b0ecc360de99d87b2c86d1aa1859c22878936b672de",
+        "node_counters.csv": "1f60a69a34b06bc7f8a3a02a92588c49f79e309c9b2e9f7fc712d0635cd8f118",
+        "timeseries.csv": "26e8442719a7c5b41a3e287d034160c9f8741597825184ead3387c831d24c736",
+        "summary.txt": "2cb1bd3dc8415a5fbd894e3782102ef349e4edcc07071d39be56db99209cf17c",
+    },
+    "cdn-only": {
+        "requests.csv": "5833650cb61a7b98207d0396247ce42ac473f5bf9a50d2229c14a523fe0f26eb",
+        "node_counters.csv": "d91f9c8c9439ef087472feacba9ce3a55e2eff3abe6ad21d1e4f6600751de66f",
+        "timeseries.csv": "92e065de5965478cda167211ea54914f59285c7b9ea0d1d10b28967b88b86a83",
+        "summary.txt": "0e1147363ad1242b7a7b83bb859de9d2724d5166be1613648e82eac667d248f8",
+    },
+}
+
+
+def poisson_doc() -> dict:
+    """mini with a 360p transcode, a 12 KiB edge store and two Poisson
+    populations, one per resolution."""
+    doc = json.loads(MINI.read_text())
+    doc["northbound"].insert(2, {"op": "transcode", "slice": "c1",
+                                 "content_id": "clip", "tag": "360p"})
+    icn = next(op for op in doc["northbound"] if op["op"] == "create_icn_slice")
+    next(v for v in icn["vnfs"] if v["node"] == "edge")["cs_capacity_bytes"] = 12288
+    first = doc["populations"][0]
+    first["request_count"] = 30
+    first["pattern"] = {"kind": "poisson", "rate_per_s": 200}
+    second = copy.deepcopy(first)
+    second["content"] = "/cdn/clip/360p"
+    second["request_count"] = 20
+    second["pattern"] = {"kind": "poisson", "rate_per_s": 100}
+    doc["populations"].append(second)
+    return doc
+
+
+def _digests(out):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in OUTPUT_FILES}
+
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
 def test_mini_output_digests(mode, tmp_path):
     run_scenario(MINI, tmp_path, ["mode=%s" % mode])
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in OUTPUT_FILES}
-    assert got == GOLDEN[mode]
+    assert _digests(tmp_path) == GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_POISSON))
+def test_poisson_output_digests(mode, tmp_path):
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps(poisson_doc()))
+    run = run_scenario(path, tmp_path / "out", ["mode=%s" % mode])
+    assert len(run.records) == 50
+    assert _digests(tmp_path / "out") == GOLDEN_POISSON[mode]

@@ -10,7 +10,7 @@ from icnsim.origin import synthesize_payload
 from icnsim.scenario import ScenarioError, load_scenario
 from icnsim.simnet import IpResponse, Network
 
-from conftest import MINI
+from conftest import MINI, assert_timeseries_adds_up
 
 
 def load_mini_doc():
@@ -55,6 +55,22 @@ def test_poisson_pattern_runs_and_replays(tmp_path):
     assert [r.t_issue_ms for r in a.records] == [r.t_issue_ms for r in b.records]
     issues = sorted(r.t_issue_ms for r in a.records)
     assert len(set(issues)) == len(issues)  # exponential gaps, not a grid
+
+
+def test_only_uniform_populations_start_at_zero(tmp_path):
+    doc = load_mini_doc()
+    assert min(r.t_issue_ms for r in run_doc(doc, tmp_path, "u.json").records) == 0.0
+    doc["populations"][0]["pattern"] = {"kind": "poisson", "rate_per_s": 200}
+    assert min(r.t_issue_ms for r in run_doc(doc, tmp_path, "p.json").records) > 0.0
+
+
+@pytest.mark.parametrize("mode", ["icn", "cdn-only"])
+def test_timeseries_keeps_bucket_of_removed_hosts(mode):
+    # The ICN slice expires at 40 ms, within the first bucket.
+    run = run_scenario(MINI, None, ["mode=%s" % mode, "northbound.2.duration_ms=40"])
+    assert "edge" not in run.net.hosts
+    assert run.hosts["edge"].counters.rx_bytes > 0
+    assert_timeseries_adds_up(run)
 
 
 def test_transcoded_variant_served_through_gateway(tmp_path):

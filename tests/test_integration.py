@@ -7,7 +7,7 @@ import pytest
 from icnsim.gateway import Gateway, OriginRef
 from icnsim.harness import run_scenario
 from icnsim.ndn import Name, make_data
-from icnsim.orchestration import DomainSpec, Flavor, Orchestrator, VnfSpec, SliceSpec
+from icnsim.simnet import IP_REQUEST_BYTES, Host, IpRequest, Network
 
 from conftest import MINI
 
@@ -141,15 +141,16 @@ def test_mem_model_bytes():
     assert g.mem_model_bytes() == 300
 
 
-def test_vnf_report_snapshot():
-    from icnsim.simnet import Network
+def test_busy_ms_derived_from_packets_and_charged_work():
     net = Network()
-    orch = Orchestrator(net, [DomainSpec("d", "", Flavor(8, 8192, 100))])
-    sid = orch.create_slice(SliceSpec("ICN", 1000.0, [
-        VnfSpec("ndn-node", "d", Flavor(2, 1024, 10), "n1")]))
-    inst = orch.slices[sid].instances[0]
-    inst.host.charge_ms(12.5)
-    rep = orch.vnf_report(inst)
-    assert rep.node == "n1" and rep.role == "ndn-node"
-    assert rep.cpu_busy_ms == pytest.approx(12.5)
-    assert rep.mem_bytes_peak >= 0
+    a = Host(net, "a", vcpus=2, per_packet_cost_ms=0.02)
+    b = Host(net, "b", vcpus=1, per_packet_cost_ms=0.02)
+    net.add_host(a)
+    net.add_host(b)
+    net.add_link("a", "b", 1.0, 100.0)
+    for i in range(3):
+        net.send("a", "b", IP_REQUEST_BYTES, IpRequest("a", "b", i, "c", "r", None))
+    net.run_to_completion()
+    a.charge_ms(12.5)
+    assert a.busy_ms_total == pytest.approx(3 * 0.01 + 12.5)
+    assert b.busy_ms_total == pytest.approx(3 * 0.02)

@@ -111,8 +111,24 @@ def test_slice_ids_monotone():
     net, orch = make_orch()
     a = orch.create_slice(cdn_spec())
     orch.destroy_slice(a)
-    b = orch.create_slice(cdn_spec())
+    b = orch.create_slice(SliceSpec("CDN", 60_000.0, [
+        VnfSpec("cache", "openstack-eu", Flavor(4, 4096, 120), "cdn-2"),
+    ]))
     assert b == a + 1
+
+
+def test_destroyed_slice_node_ids_stay_taken():
+    net, orch = make_orch()
+    sid = orch.create_slice(cdn_spec())
+    old = net.all_hosts["cdn"]
+    orch.destroy_slice(sid)
+    before = orch.quota_snapshot()
+    remaining = list(orch.vims["openstack-eu"].remaining)
+    with pytest.raises(ValueError):
+        orch.create_slice(cdn_spec())
+    assert orch.quota_snapshot() == before
+    assert orch.vims["openstack-eu"].remaining == remaining
+    assert net.all_hosts["cdn"] is old
 
 
 def test_destroy_restores_quota_and_removes_nodes():
