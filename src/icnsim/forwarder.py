@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .ndn import Data, Interest, Name, compute_digest
+from .ndn import Data, Interest, Name
 
 DROP_LOOP = "loop"
 DROP_NO_ROUTE = "no-route"
@@ -303,7 +303,7 @@ class Forwarder:
     def on_data(self, now: float, face: int, d: Data) -> list[Action]:
         if face not in self.faces:
             raise UnknownFace(face)
-        if compute_digest(d.payload) != d.digest:
+        if not d.intact():
             self.counters.drop(DROP_INTEGRITY)
             return []
         entry = self.pit.pop(d.name, None)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 MAX_COMPONENTS = 32
 MAX_COMPONENT_LEN = 255
@@ -224,18 +224,22 @@ class Interest:
             raise ValueError("hop limit out of u8 range")
 
     def decremented(self) -> "Interest":
-        return replace(self, hop_limit=self.hop_limit - 1)
+        return Interest(self.name, self.nonce, self.lifetime_ms, self.hop_limit - 1)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class Data:
-    """Response packet carrying one named, digest-protected payload chunk."""
+    """Response packet carrying one named, digest-protected payload chunk.
+
+    Immutable, so ``intact()`` hashes the payload at most once per object.
+    """
 
     name: Name
     payload: bytes
     digest: bytes
     freshness_ms: int = 0
     final_segment: int | None = None
+    _intact: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.digest) != DIGEST_LEN:
@@ -245,9 +249,17 @@ class Data:
         if self.final_segment is not None and not 0 <= self.final_segment <= U32_MAX:
             raise ValueError("final segment out of u32 range")
 
+    def intact(self) -> bool:
+        """True if the payload hashes to the digest; hashed on first call only."""
+        ok = self._intact
+        if ok is None:
+            ok = compute_digest(self.payload) == self.digest
+            object.__setattr__(self, "_intact", ok)
+        return ok
+
 
 def compute_digest(payload: bytes) -> bytes:
-    """SHA-256 of the payload; the integrity check every node re-runs."""
+    """SHA-256 of the payload, as carried in every Data's digest field."""
     return hashlib.sha256(payload).digest()
 
 

@@ -7,7 +7,7 @@ slice, shared by its cache/streamer nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -51,15 +51,25 @@ class ResolutionProfile:
             raise ValueError("scale must be in (0, 1]")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ContentObject:
     content_id: str
     resolution: str
     payload: bytes
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size_bytes(self) -> int:
         return len(self.payload)
+
+    @property
+    def digest(self) -> bytes:
+        """SHA-256 of the payload, hashed on first use and then kept."""
+        d = self._digest
+        if d is None:
+            d = compute_digest(self.payload)
+            object.__setattr__(self, "_digest", d)
+        return d
 
 
 def synthesize_payload(seed: int, content_id: str, size: int) -> bytes:
@@ -101,7 +111,7 @@ class CdnOrigin:
             raise DuplicateVariant((content_id, target.tag))
         src = self._store[(content_id, src_res)]
         out_len = len(src.payload) * target.scale.numerator // target.scale.denominator
-        payload = hash_stream(compute_digest(src.payload) + target.tag.encode(), out_len)
+        payload = hash_stream(src.digest + target.tag.encode(), out_len)
         obj = ContentObject(content_id, target.tag, payload)
         self._store[(content_id, target.tag)] = obj
         self.store_bytes += out_len

@@ -5,7 +5,8 @@ bandwidth serialization, a global virtual clock in float milliseconds,
 consumer request generators, and the host wrapper that turns forwarder
 actions into wire traffic. Everything is single-threaded and fully
 deterministic: events execute in (time, seq) order with seq assigned at
-scheduling.
+scheduling. The heap holds ``(time, seq, Event)`` tuples: seq is unique,
+so heap order is a tuple comparison in C that never reaches the Event.
 """
 
 from __future__ import annotations
@@ -33,17 +34,12 @@ class HorizonExceeded(RuntimeError):
 
 
 class Event:
-    __slots__ = ("time", "seq", "fn", "real", "cancelled")
+    __slots__ = ("fn", "real", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn, real: bool):
-        self.time = time
-        self.seq = seq
+    def __init__(self, fn, real: bool):
         self.fn = fn
         self.real = real
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class _LinkDir:
@@ -91,7 +87,7 @@ class Network:
         self.all_hosts: dict[str, "Host"] = {}  # never pruned; keeps counters
         self._links: dict[tuple[str, str], _LinkDir] = {}
         self._adj: dict[str, list[tuple[str, float]]] = {}
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._pending_real = 0
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
@@ -103,11 +99,11 @@ class Network:
     def schedule(self, at: float, fn, real: bool = True) -> Event:
         if at < self.now:
             at = self.now
-        ev = Event(at, self._seq, fn, real)
+        ev = Event(fn, real)
+        heapq.heappush(self._heap, (at, self._seq, ev))
         self._seq += 1
         if real:
             self._pending_real += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def cancel(self, ev: Event):
@@ -120,32 +116,35 @@ class Network:
         """True while real (non-housekeeping) events are still pending."""
         return self._pending_real > 0
 
-    def _run_one(self, ev: Event):
-        self.now = ev.time
+    def _run_one(self, t: float, seq: int, ev: Event):
+        self.now = t
+        ev.cancelled = True  # spent: cancelling it later changes nothing
         if ev.real:
             self._pending_real -= 1
         if self._trace is not None:
-            self._trace.update(struct.pack(">dQ", ev.time, ev.seq))
-        ev.fn(ev.time)
+            self._trace.update(struct.pack(">dQ", t, seq))
+        ev.fn(t)
 
     def run_until(self, t: float) -> float:
-        while self._heap and self._heap[0].time <= t:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._run_one(ev)
+        heap = self._heap
+        while heap and heap[0][0] <= t:
+            at, seq, ev = heapq.heappop(heap)
+            if not ev.cancelled:
+                self._run_one(at, seq, ev)
         self.now = max(self.now, t)
         return self.now
 
     def run_to_completion(self) -> float:
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        horizon = self.horizon_ms
+        while heap:
+            at, seq, ev = heapq.heappop(heap)
             if ev.cancelled:
                 continue
-            if self.horizon_ms is not None and ev.time > self.horizon_ms:
+            if horizon is not None and at > horizon:
                 raise HorizonExceeded(
-                    "event at %.3f ms beyond horizon %.3f ms" % (ev.time, self.horizon_ms))
-            self._run_one(ev)
+                    "event at %.3f ms beyond horizon %.3f ms" % (at, horizon))
+            self._run_one(at, seq, ev)
         return self.now
 
     def trace_digest(self) -> str:
@@ -434,8 +433,9 @@ class Host:
                               type(e).__name__)
             self.send_ip(resp, IP_REQUEST_BYTES)
             return
-        resp = IpResponse(self.id, msg.src, msg.request_id, payload,
-                          compute_digest(payload), None)
+        obj = self.origin.get(msg.content_id, msg.resolution)
+        digest = obj.digest if payload is obj.payload else compute_digest(payload)
+        resp = IpResponse(self.id, msg.src, msg.request_id, payload, digest, None)
         self.send_ip(resp, len(payload))
 
     # -- gateway fetch plumbing --------------------------------------------------
@@ -656,17 +656,13 @@ class Population(_Consumers):
             self._draining = False
 
     def _process_data(self, now: float, data: Data, served_by: str):
+        if not data.intact() or data.final_segment != self.seg_count - 1:
+            # Should have been dropped upstream. Treat it as a loss: the entry
+            # stays and the watchdog retransmits it under max_attempts.
+            return
         entry = self.outstanding.pop(data.name, None)
         if entry is None:
             return  # late duplicate
-        if (compute_digest(data.payload) != data.digest
-                or data.final_segment != self.seg_count - 1):
-            # Should have been dropped upstream; treat as loss and retry.
-            self.outstanding[data.name] = entry
-            entry.attempts += 1
-            entry.last_issue = now
-            self._issue_interest(data.name)
-            return
         seg = entry.seg
         size = len(data.payload)
         for req in entry.waiters:
@@ -733,6 +729,7 @@ class IpPopulation(_Consumers):
         self.target = target_node
         self.timeout_ms = timeout_ms
         self._live: dict[int, tuple[int, float, Event]] = {}  # ip id -> (rid, t_issue, timeout)
+        self._verified: tuple[bytes, bytes] | None = None  # (payload, digest) last found intact
 
     def _begin(self, now: float, rid: int):
         ip_id = self.host.next_request_id()
@@ -750,9 +747,13 @@ class IpPopulation(_Consumers):
             return
         rid, t_issue, ev = meta
         self.net.cancel(ev)
+        # The origin resends one bytes object; the tuple compare matches it by identity.
+        pair = (msg.payload, msg.digest)
         ok = (msg.error is None and msg.payload is not None
               and len(msg.payload) == self.content_size
-              and compute_digest(msg.payload) == msg.digest)
+              and (pair == self._verified or compute_digest(msg.payload) == msg.digest))
+        if ok:
+            self._verified = pair
         self._record(rid, t_issue, now, msg.src, "ok" if ok else "failed",
                      len(msg.payload) if msg.payload else 0)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from icnsim.harness import _start_pit_sweeps
-from icnsim.ndn import (Interest, Name, chunk_content, interest_wire_len,
+from icnsim.ndn import (Data, Interest, Name, chunk_content, interest_wire_len,
                         data_wire_len, make_data)
 from icnsim.simnet import Population, WireData
 
@@ -135,6 +135,34 @@ def test_corruption_drops_then_retransmission_recovers():
     assert r.attempts >= 2  # recovery went through a retransmission
     assert r.bytes_received == len(payload)
     assert r.delivery_ms > 4000.0  # paid at least one interest lifetime
+
+
+def test_mismatched_data_in_own_store_is_a_loss_not_a_reissue_loop(monkeypatch):
+    # The consumer's own node answers every interest from its store with a
+    # payload that does not match its digest. Each answer must count as a
+    # loss, so the request ends once, through the watchdog's attempt limit.
+    net, hosts = build_chain([("a", 1 << 20)], [])
+    seg = CONTENT.segment(0)
+    hosts["a"].fwd.cs_insert(0.0, Data(seg, b"bad", make_data(seg, b"good", FRESH, 0).digest,
+                                       FRESH, 0))
+    issued = []
+    issue = Population._issue_interest
+
+    def capped(self, name):
+        issued.append(name)
+        if len(issued) > 50:
+            raise RuntimeError("interest re-issued %d times" % len(issued))
+        issue(self, name)
+
+    monkeypatch.setattr(Population, "_issue_interest", capped)
+    pop, records = make_population(net, hosts["a"], 1, retransmit=1000.0)
+    pop.start()
+    net.run_to_completion()
+    assert len(records) == 1
+    assert records[0].status == "failed"
+    assert records[0].attempts == 5
+    assert len(issued) == 5
+    assert records[0].t_complete_ms == pytest.approx(5000.0)
 
 
 def test_retransmission_exhaustion_fails_request():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -131,6 +132,32 @@ def test_integrity_drop_leaves_state_unchanged():
     assert f.counters.drops == {DROP_INTEGRITY: 1}
     assert V0 in f.pit
     assert len(f.cs) == 0
+
+
+def test_data_is_frozen():
+    d = make_data(V0, b"p", FRESH, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.payload = b"q"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.digest = b"\x00" * 32
+
+
+def test_integrity_drop_then_intact_data_of_same_name_accepted():
+    # The corrupt copies carry the true digest, so a check remembered by
+    # name or by digest rather than per Data object would let them through.
+    f = node(cs=0)
+    f.fib_insert(Name.parse("/v"), [(9, 1)])
+    good = make_data(V0, b"payload", FRESH, 0)
+    assert good.intact()
+    f.on_interest(0.0, 1, Interest(V0, nonce=1))
+    assert f.on_data(1.0, 9, Data(V0, b"corrupted", good.digest, FRESH, 0)) == []
+    assert f.counters.drops == {DROP_INTEGRITY: 1}
+    assert f.on_data(2.0, 9, good) == [SendData(1, good)]
+    assert V0 not in f.pit
+    f.on_interest(3.0, 2, Interest(V0, nonce=2))
+    assert f.on_data(4.0, 9, dataclasses.replace(good, payload=b"payloaD")) == []
+    assert f.counters.drops == {DROP_INTEGRITY: 2}
+    assert f.on_data(5.0, 9, good) == [SendData(2, good)]
 
 
 def test_same_face_duplicates_collapse_to_one_send():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from icnsim import harness
+from icnsim import harness, ndn, origin, simnet
 from icnsim.harness import build_and_run, publish_bench, run_scenario
 from icnsim.ndn import Name
 from icnsim.origin import synthesize_payload
@@ -126,6 +126,61 @@ def test_corrupted_origin_response_is_refetched(monkeypatch):
     published = b"".join(gw.repo[base.segment(i)].payload for i in range(count))
     assert published == synthesize_payload(run.scenario.seed, "clip", 16384)
     assert run.origin_fetch_total() == 2
+
+
+def test_corrupted_response_to_ip_consumer_fails_that_request(monkeypatch):
+    # cdn-only: flip byte 0 of the second response to reach the client. It
+    # carries the true digest of the very bytes the first response carried,
+    # so a check remembered by digest alone would pass it.
+    seen = []
+
+    def corrupt_second(now, src, dst, msg):
+        if dst == "client" and type(msg) is IpResponse:
+            seen.append(now)
+            if len(seen) == 2:
+                bad = bytearray(msg.payload)
+                bad[0] ^= 0xFF
+                return dataclasses.replace(msg, payload=bytes(bad))
+        return msg
+
+    class FilteredNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.delivery_filter = corrupt_second
+
+    monkeypatch.setattr(harness, "Network", FilteredNetwork)
+    run = run_scenario(MINI, None, ["mode=cdn-only"])
+    assert len(seen) == 6
+    failed = [r for r in run.records if r.status == "failed"]
+    assert [r.t_complete_ms for r in failed] == [seen[1]]
+    assert sum(r.status == "ok" for r in run.records) == 5
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("icn", {"ndn": 4, "simnet": 1, "origin": 1}),
+    ("cdn-only", {"ndn": 0, "simnet": 1, "origin": 1}),
+])
+def test_mini_hash_counts(monkeypatch, mode, want):
+    # Calls to compute_digest, by the module that makes them. ndn: one to
+    # build each published segment and one to check that Data object, once
+    # for all the nodes it reaches. simnet: the gateway's check of each
+    # origin response, or the consumer's check of each distinct payload
+    # object. origin: each stored object's digest, kept after first use.
+    calls = dict.fromkeys(want, 0)
+    real = ndn.compute_digest
+    for mod in (ndn, simnet, origin):
+        def counted(payload, key=mod.__name__.rsplit(".", 1)[1]):
+            calls[key] += 1
+            return real(payload)
+        monkeypatch.setattr(mod, "compute_digest", counted)
+    run = run_scenario(MINI, None, ["mode=%s" % mode])
+    assert [r.status for r in run.records] == ["ok"] * 6
+    assert calls == want
+    assert calls["origin"] <= len(run.hosts["origin-node"].origin.catalog())
+    if mode == "icn":
+        segments = sum(run.hosts["gw"].fwd.published.values())
+        assert calls["ndn"] <= 2 * segments
+        assert calls["simnet"] <= run.origin_fetch_total()
 
 
 def test_gateway_weight_zero_moves_gateway_toward_demand(tmp_path):
