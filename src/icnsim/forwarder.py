@@ -20,7 +20,6 @@ DROP_UNSOLICITED = "unsolicited"
 DROP_INTEGRITY = "integrity"
 
 PIT_ENTRY_MEM_BYTES = 512  # memory model charge per pending entry
-NONCE_MEMORY_PER_NAME = 1024
 
 
 class UnknownFace(LookupError):
@@ -140,42 +139,16 @@ class ContentStore:
 
 @dataclass(slots=True)
 class PitEntry:
-    name: Name
-    records: set[tuple[int, int]]   # (face, nonce), each at most once
-    faces: dict[int, None]          # distinct downstream faces, insertion ordered
-    deadline: float
+    """The one record of a pending interest; it expires at ``deadline``."""
 
-    def add(self, face: int, nonce: int):
-        key = (face, nonce)
-        if key not in self.records:
-            self.records.add(key)
-            self.faces.setdefault(face)
+    faces: dict[int, int]  # in-records: downstream face -> its latest nonce, insertion ordered
+    deadline: float
 
 
 @dataclass(slots=True)
 class FibEntry:
     prefix: Name
     next_hops: list[tuple[int, int]]  # (face, cost) kept sorted by (cost, face)
-
-
-class _NonceMemory:
-    """Per-name set of recently seen nonces, FIFO-bounded."""
-
-    __slots__ = ("_names",)
-
-    def __init__(self):
-        self._names: dict[Name, OrderedDict[int, None]] = {}
-
-    def seen(self, name: Name, nonce: int) -> bool:
-        d = self._names.get(name)
-        if d is None:
-            d = self._names[name] = OrderedDict()
-        if nonce in d:
-            return True
-        d[nonce] = None
-        if len(d) > NONCE_MEMORY_PER_NAME:
-            d.popitem(last=False)
-        return False
 
 
 class Forwarder:
@@ -192,7 +165,6 @@ class Forwarder:
         self._lpm_cache: dict[Name, FibEntry | None] = {}
         self.faces: dict[int, None] = {}
         self.counters = Counters()
-        self._nonces = _NonceMemory()
 
     # -- configuration ----------------------------------------------------
 
@@ -251,7 +223,8 @@ class Forwarder:
     # -- packet pipeline ---------------------------------------------------
 
     def on_interest(self, now: float, face: int, interest: Interest) -> list[Action]:
-        if not self._admit(face, interest):
+        admitted, entry = self._admit(now, face, interest)
+        if not admitted:
             return []
         c = self.counters
         data = self.cs.lookup(now, interest.name)
@@ -259,7 +232,8 @@ class Forwarder:
             c.cs_hits += 1
             return [SendData(face, data)]
         c.cs_misses += 1
-        if self._aggregate(face, interest):
+        if entry is not None:
+            entry.faces[face] = interest.nonce
             return []
         fe = self.fib_longest_prefix_match(interest.name)
         hop = None
@@ -278,27 +252,36 @@ class Forwarder:
         self._pit_insert(now, face, interest)
         return [SendInterest(hop, interest.decremented())]
 
-    def _admit(self, face: int, interest: Interest) -> bool:
-        """Face check and loop suppression; a looping interest is dropped."""
+    def _admit(self, now: float, face: int,
+               interest: Interest) -> tuple[bool, PitEntry | None]:
+        """Face check and loop detection.
+
+        Returns whether the interest is admitted, and the live PIT entry
+        of its name. An interest at hop limit 0, or whose nonce a live
+        entry holds on any face, loops and is dropped.
+        """
         if face not in self.faces:
             raise UnknownFace(face)
-        if interest.hop_limit == 0 or self._nonces.seen(interest.name, interest.nonce):
+        entry = self._live_entry(now, interest.name)
+        if interest.hop_limit == 0 or (entry is not None
+                                       and interest.nonce in entry.faces.values()):
             self.counters.drop(DROP_LOOP)
-            return False
-        return True
+            return False, None
+        return True, entry
 
-    def _aggregate(self, face: int, interest: Interest) -> bool:
-        """Add the interest to a pending entry of its name, if there is one."""
-        entry = self.pit.get(interest.name)
-        if entry is None:
-            return False
-        entry.add(face, interest.nonce)
-        return True
+    def _live_entry(self, now: float, name: Name) -> PitEntry | None:
+        """The PIT entry of ``name``, or None. An entry read at or after its
+        deadline has expired: it is removed and counted as a timeout."""
+        entry = self.pit.get(name)
+        if entry is not None and entry.deadline <= now:
+            del self.pit[name]
+            self.counters.pit_timeouts += 1
+            return None
+        return entry
 
     def _pit_insert(self, now: float, face: int, interest: Interest):
-        self.pit[interest.name] = PitEntry(
-            interest.name, {(face, interest.nonce)}, {face: None},
-            now + interest.lifetime_ms)
+        self.pit[interest.name] = PitEntry({face: interest.nonce},
+                                           now + interest.lifetime_ms)
 
     def on_data(self, now: float, face: int, d: Data) -> list[Action]:
         if face not in self.faces:
@@ -306,10 +289,11 @@ class Forwarder:
         if not d.intact():
             self.counters.drop(DROP_INTEGRITY)
             return []
-        entry = self.pit.pop(d.name, None)
+        entry = self._live_entry(now, d.name)
         if entry is None:
             self.counters.drop(DROP_UNSOLICITED)
             return []
+        del self.pit[d.name]
         self.cs_insert(now, d)
         return [SendData(f, d) for f in entry.faces if f != face]
 
@@ -322,6 +306,8 @@ class Forwarder:
         return evicted
 
     def pit_expire(self, now: float) -> list[Name]:
+        """Remove the entries past their deadline. Reads already treat them
+        as absent, so this only reclaims memory."""
         expired = [n for n, e in self.pit.items() if e.deadline <= now]
         for n in expired:
             del self.pit[n]

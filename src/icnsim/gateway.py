@@ -89,7 +89,8 @@ class Gateway(Forwarder):
         served = self._served_lookup(interest.name)
         if served is None:
             return super().on_interest(now, face, interest)
-        if not self._admit(face, interest):
+        admitted, entry = self._admit(now, face, interest)
+        if not admitted:
             return []
         base, content_id, resolution = served
         d = self.repo.get(interest.name)
@@ -100,7 +101,8 @@ class Gateway(Forwarder):
             # Published content cannot grow a segment; the request is bogus.
             self.counters.drop(DROP_NO_ROUTE)
             return []
-        if self._aggregate(face, interest):
+        if entry is not None:
+            entry.faces[face] = interest.nonce
             return []
         self._pit_insert(now, face, interest)
         if base in self.pending:
@@ -127,21 +129,25 @@ class Gateway(Forwarder):
             self.repo[d.name] = d
             self.repo_bytes += len(d.payload)
         self.published[base] = len(segments)
-        return len(segments), self._drain(base)
+        return len(segments), self._drain(now, base)
 
-    def fetch_failed(self, base: Name):
-        """Abort a pending fetch; waiting interests drop as no-route."""
-        self._drain(base)
+    def fetch_failed(self, now: float, base: Name):
+        """Abort a pending fetch; its live waiters drop as no-route."""
+        self._drain(now, base)
 
-    def _drain(self, base: Name) -> list[Action]:
+    def _drain(self, now: float, base: Name) -> list[Action]:
         """End the fetch of ``base`` and remove every pending entry under it.
 
-        Entries the repo holds are answered; the others drop as no-route.
+        Expired entries count as timeouts. Live entries the repo holds are
+        answered; the others drop as no-route.
         """
         self.pending.discard(base)
         actions: list[Action] = []
         for name in [n for n in self.pit if base.is_prefix_of(n)]:
-            entry = self.pit.pop(name)
+            entry = self._live_entry(now, name)
+            if entry is None:
+                continue
+            del self.pit[name]
             d = self.repo.get(name)
             if d is None:
                 self.counters.drop(DROP_NO_ROUTE)

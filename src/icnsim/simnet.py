@@ -465,7 +465,7 @@ class Host:
             self.net.cancel(ev)
         if (msg is None or msg.error is not None or msg.payload is None
                 or compute_digest(msg.payload) != msg.digest):
-            gw.fetch_failed(pf.base)
+            gw.fetch_failed(now, pf.base)
             return
         _count, actions = gw.publish_content_to_icn(now, pf.content_id, pf.resolution,
                                                     msg.payload)

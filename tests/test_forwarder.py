@@ -333,6 +333,54 @@ def test_expiry_then_rearrival_forwards_again():
     assert [type(a) for a in acts] == [SendInterest]
 
 
+# No test below sweeps: an entry must expire at its deadline when it is read.
+
+
+def test_expired_entry_is_not_used_without_a_sweep():
+    f = node()
+    f.fib_insert(Name.parse("/v"), [(9, 1)])
+    f.on_interest(0.0, 1, Interest(V0, nonce=1, lifetime_ms=100))
+    fresh = Interest(V0, nonce=2, lifetime_ms=100)
+    assert f.on_interest(5000.0, 2, fresh) == [SendInterest(9, fresh.decremented())]
+    assert f.counters.pit_timeouts == 1
+    assert f.counters.drops == {}
+    assert f.pit[V0].faces == {2: 2}
+
+
+def test_data_for_expired_unswept_entry_is_unsolicited():
+    f = node()
+    f.fib_insert(Name.parse("/v"), [(9, 1)])
+    f.on_interest(0.0, 1, Interest(V0, nonce=1, lifetime_ms=100))
+    assert f.on_data(100.0, 9, make_data(V0, b"p", FRESH, 0)) == []
+    assert f.counters.drops == {DROP_UNSOLICITED: 1}
+    assert f.counters.pit_timeouts == 1
+    assert V0 not in f.pit
+
+
+def test_nonce_of_satisfied_entry_is_answered_from_store():
+    # Only a live PIT entry remembers a nonce; once satisfied, the same
+    # nonce from another face is a fresh request that the store answers.
+    f = node()
+    f.fib_insert(Name.parse("/v"), [(9, 1)])
+    d = make_data(V0, b"p", FRESH, 0)
+    f.on_interest(0.0, 1, Interest(V0, nonce=5))
+    assert f.on_data(1.0, 9, d) == [SendData(1, d)]
+    assert f.on_interest(2.0, 2, Interest(V0, nonce=5)) == [SendData(2, d)]
+    assert f.counters.drops == {}
+    assert f.counters.cs_hits == 1
+
+
+def test_aggregation_keeps_latest_nonce_per_face():
+    f = node()
+    f.fib_insert(Name.parse("/v"), [(9, 1)])
+    f.on_interest(0.0, 1, Interest(V0, nonce=1))
+    f.on_interest(0.1, 2, Interest(V0, nonce=2))
+    assert f.on_interest(0.2, 1, Interest(V0, nonce=3)) == []
+    assert list(f.pit[V0].faces.items()) == [(1, 3), (2, 2)]
+    assert f.on_interest(0.3, 2, Interest(V0, nonce=3)) == []
+    assert f.counters.drops == {DROP_LOOP: 1}
+
+
 # -- configuration -----------------------------------------------------------------
 
 

@@ -93,12 +93,23 @@ def test_fetch_failed_drops_waiters():
     g = gw()
     g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=1))
     g.on_interest(0.1, 2, Interest(BASE.segment(1), nonce=2))
-    assert g.fetch_failed(BASE) is None
+    assert g.fetch_failed(0.2, BASE) is None
     assert g.counters.drops == {DROP_NO_ROUTE: 2}
     assert not g.pit and BASE not in g.pending
     # A later interest may retry the fetch.
     acts = g.on_interest(40.0, 1, Interest(BASE.segment(0), nonce=3))
     assert acts == [PendingFetch("v42", "720p", BASE)]
+
+
+def test_publish_skips_waiters_whose_entries_expired():
+    g = gw()
+    g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=1, lifetime_ms=100))
+    g.on_interest(50.0, 2, Interest(BASE.segment(1), nonce=2, lifetime_ms=100))
+    count, acts = g.publish_content_to_icn(120.0, "v42", "720p", b"x" * 10000)
+    assert count == 2
+    assert acts == [SendData(2, g.repo[BASE.segment(1)])]
+    assert g.counters.pit_timeouts == 1
+    assert g.counters.drops == {} and not g.pit
 
 
 def test_origin_once_under_interleaving():

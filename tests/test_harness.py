@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import deque
 
 import pytest
 
@@ -218,3 +219,53 @@ def test_build_and_run_accepts_parsed_scenario():
     assert diags == []
     run = build_and_run(scenario)
     assert len(run.records) == 6
+
+
+def test_pit_sweep_period_does_not_change_results(tmp_path):
+    # Every interest outlives its 8 ms lifetime before its Data comes back,
+    # so each PIT read must find the entry expired, however often sweeps run.
+    outputs = []
+    for sweep_ms in (1, 50, 500):
+        out = tmp_path / str(sweep_ms)
+        run_scenario(MINI, out, ["knobs.interest_lifetime_ms=8",
+                                 "knobs.pit_sweep_ms=%d" % sweep_ms])
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("requests.csv", "node_counters.csv", "summary.txt")})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+TABLES = (dict, set, list, deque)
+
+
+def element_count(value, levels: int = 1) -> int:
+    """Elements of the dicts, sets, lists and deques that ``value`` holds,
+    directly or through object fields, and ``levels`` deep in their values."""
+    if isinstance(value, TABLES):
+        n = len(value)
+        if levels:
+            items = value.values() if isinstance(value, dict) else value
+            n += sum(element_count(v, levels - 1) for v in items)
+        return n
+    fields = list(getattr(value, "__dict__", {}).values())
+    for cls in type(value).__mro__:
+        fields += [getattr(value, f) for f in getattr(cls, "__slots__", ())
+                   if hasattr(value, f)]
+    return sum(element_count(v, levels) for v in fields)
+
+
+def table_sizes(run) -> dict[tuple[str, str], int]:
+    sizes = {}
+    for node, host in run.hosts.items():
+        sizes[node, "forwarder"] = element_count(host.fwd)
+        sizes[node, "_fetches"] = element_count(host._fetches)
+        sizes[node, "_ip_waiters"] = element_count(host._ip_waiters)
+        for face, app in host.apps.items():
+            sizes[node, "outstanding@%d" % face] = element_count(app.__self__.outstanding)
+    return sizes
+
+
+def test_table_sizes_do_not_grow_with_run_length():
+    short = run_scenario(MINI, None, ["populations.0.request_count=6"])
+    long = run_scenario(MINI, None, ["populations.0.request_count=60"])
+    assert [r.status for r in long.records] == ["ok"] * 60
+    assert table_sizes(short) == table_sizes(long)

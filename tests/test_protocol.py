@@ -1,13 +1,17 @@
 """The forwarder action protocol, checked against a brute-force PIT model.
 
 A forwarder or gateway returns only work for its host and records a drop
-once, in ``Counters.drop``. Random interest and data sequences over a few
-names and faces must give the actions, drops and PIT of a model that keeps
-the PIT as a flat list of (name, face, nonce) records and rescans it. An
-empty ``on_interest`` or ``on_data`` result is exactly one of: one new
-drop, an aggregation into a PIT entry that existed before the call, or a
-segment of a content whose origin fetch is already pending. A non-empty
-result never adds a drop.
+once, in ``Counters.drop``. Random interest, data and sweep sequences over
+a few names, faces and lifetimes must give the actions, drops, timeouts
+and PIT of a model that keeps the PIT as a flat list of (name, face,
+nonce, deadline) records and rescans it. The model knows no other nonce
+memory: an interest loops only if its nonce is the latest one of some face
+on the name's live records. A name's records expire when they are read at
+or after their deadline, or when a sweep finds them past it; either way
+they count one timeout. An empty ``on_interest`` or ``on_data`` result is
+exactly one of: one new drop, an aggregation into a PIT entry that was
+live before the call, or a segment of a content whose origin fetch is
+already pending. A non-empty result never adds a drop.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -39,8 +43,8 @@ class Model:
 
     def __init__(self, gateway: bool):
         self.gateway = gateway
-        self.records: list[tuple[Name, int, int]] = []  # PIT, in arrival order
-        self.seen: set[tuple[Name, int]] = set()
+        self.records: list[tuple[Name, int, int, float]] = []  # PIT, in arrival order
+        self.timeouts = 0
         self.cs: dict[Name, Data] = {}
         self.repo: dict[Name, Data] = {}
         self.published: dict[Name, int] = {}
@@ -51,45 +55,64 @@ class Model:
         self.drops[reason] = self.drops.get(reason, 0) + 1
         return []
 
-    def pit(self) -> dict[Name, list[int]]:
-        faces: dict[Name, list[int]] = {}
-        for name, face, _nonce in self.records:
-            if face not in faces.setdefault(name, []):
-                faces[name].append(face)
-        return faces
+    def pit(self) -> dict[Name, list[tuple[int, int]]]:
+        """Each pending name's (face, latest nonce) pairs, faces in order
+        of first arrival."""
+        latest: dict[Name, list[tuple[int, int]]] = {}
+        for name, face, nonce, _deadline in self.records:
+            pairs = latest.setdefault(name, [])
+            pairs[:] = [(f, nonce if f == face else n) for f, n in pairs]
+            if face not in [f for f, _n in pairs]:
+                pairs.append((face, nonce))
+        return latest
 
-    def pit_records(self) -> dict[Name, set[tuple[int, int]]]:
-        recs: dict[Name, set[tuple[int, int]]] = {}
-        for name, face, nonce in self.records:
-            recs.setdefault(name, set()).add((face, nonce))
-        return recs
+    def deadline(self, name: Name) -> float:
+        return next(r[3] for r in self.records if r[0] == name)
 
     def take(self, name: Name) -> list[int]:
-        faces = self.pit().get(name, [])
+        faces = [f for f, _n in self.pit().get(name, [])]
         self.records = [r for r in self.records if r[0] != name]
         return faces
+
+    def live(self, now: float, name: Name) -> bool:
+        """Whether ``name`` is pending; its records expire when read late."""
+        if name not in self.pit():
+            return False
+        if self.deadline(name) <= now:
+            self.take(name)
+            self.timeouts += 1
+            return False
+        return True
+
+    def sweep(self, now: float) -> list[Name]:
+        expired = [n for n in self.pit() if self.deadline(n) <= now]
+        for name in expired:
+            self.take(name)
+        self.timeouts += len(expired)
+        return expired
 
     def served_base(self, name: Name) -> Name | None:
         if self.gateway and name.seg_number() is not None and name.parent() in CONTENTS:
             return name.parent()
         return None
 
-    def interest(self, face: int, it: Interest) -> list:
+    def interest(self, now: float, face: int, it: Interest) -> list:
         name = it.name
-        if it.hop_limit == 0 or (name, it.nonce) in self.seen:
+        pending = self.live(now, name)
+        if it.hop_limit == 0 or it.nonce in [n for _f, n in self.pit().get(name, [])]:
             return self.drop(DROP_LOOP)
-        self.seen.add((name, it.nonce))
         base = self.served_base(name)
         store = self.repo if base is not None else self.cs
         if name in store:
             return [SendData(face, store[name])]
         if base is not None and base in self.published:
             return self.drop(DROP_NO_ROUTE)
-        if name in self.pit():
-            self.records.append((name, face, it.nonce))
+        if pending:
+            self.records.append((name, face, it.nonce, self.deadline(name)))
             return []
+        deadline = now + it.lifetime_ms
         if base is not None:
-            self.records.append((name, face, it.nonce))
+            self.records.append((name, face, it.nonce, deadline))
             if base in self.pending:
                 return []
             self.pending.add(base)
@@ -100,21 +123,23 @@ class Model:
             return self.drop(DROP_NO_ROUTE)
         if it.hop_limit <= 1:
             return self.drop(DROP_LOOP)
-        self.records.append((name, face, it.nonce))
+        self.records.append((name, face, it.nonce, deadline))
         return [SendInterest(hop, Interest(name, it.nonce, it.lifetime_ms, it.hop_limit - 1))]
 
-    def data(self, face: int, d: Data, intact: bool) -> list:
+    def data(self, now: float, face: int, d: Data, intact: bool) -> list:
         if not intact:
             return self.drop(DROP_INTEGRITY)
-        if d.name not in self.pit():
+        if not self.live(now, d.name):
             return self.drop(DROP_UNSOLICITED)
         self.cs[d.name] = d
         return [SendData(f, d) for f in self.take(d.name) if f != face]
 
-    def drain(self, base: Name) -> list:
+    def drain(self, now: float, base: Name) -> list:
         self.pending.discard(base)
         actions = []
         for name in [n for n in self.pit() if base.is_prefix_of(n)]:
+            if not self.live(now, name):
+                continue
             faces = self.take(name)
             if name in self.repo:
                 actions += [SendData(f, self.repo[name]) for f in faces]
@@ -122,13 +147,13 @@ class Model:
                 self.drop(DROP_NO_ROUTE)
         return actions
 
-    def publish(self, base: Name) -> tuple[int, list]:
+    def publish(self, now: float, base: Name) -> tuple[int, list]:
         if base in self.published:
             return self.published[base], []
         segments = chunk_content(base, CONTENTS[base][2], CHUNK, FRESH)
         self.repo.update((d.name, d) for d in segments)
         self.published[base] = len(segments)
-        return len(segments), self.drain(base)
+        return len(segments), self.drain(now, base)
 
 
 def build(gateway: bool) -> Forwarder:
@@ -147,14 +172,18 @@ def build(gateway: bool) -> Forwarder:
 
 
 def interests(names):
+    # Steps are 1 ms apart, so lifetimes of 1 and 2 ms expire within a
+    # sequence and 4000 ms never does.
     return st.tuples(st.just("interest"), st.sampled_from(names), st.sampled_from(DOWN),
-                     st.integers(0, 4), st.sampled_from([0, 1, 2, 64]))
+                     st.integers(0, 4), st.sampled_from([0, 1, 2, 64]),
+                     st.sampled_from([1, 2, 4000]))
 
 
 DATA = st.tuples(st.just("data"), st.sampled_from(ROUTED + UNROUTED), st.booleans())
-FORWARDER_OPS = st.lists(st.one_of(interests(ROUTED + UNROUTED), DATA), max_size=40)
+SWEEP = st.tuples(st.just("sweep"), st.none())
+FORWARDER_OPS = st.lists(st.one_of(interests(ROUTED + UNROUTED), DATA, SWEEP), max_size=40)
 GATEWAY_OPS = st.lists(st.one_of(
-    interests(ROUTED + UNROUTED), interests(SERVED), interests(SERVED), DATA,
+    interests(ROUTED + UNROUTED), interests(SERVED), interests(SERVED), DATA, SWEEP,
     st.tuples(st.sampled_from(["publish", "fail"]), st.sampled_from(list(CONTENTS)))),
     max_size=40)
 
@@ -164,31 +193,33 @@ def check_sequence(ops, gateway: bool):
     for step, op in enumerate(ops):
         now = float(step)
         kind, name = op[0], op[1]
-        pit_before = {n: set(e.records) for n, e in node.pit.items()}
+        live_before = {n: dict(e.faces) for n, e in node.pit.items() if e.deadline > now}
         pending_before = set(node.pending) if gateway else set()
         drops_before = sum(node.counters.drops.values())
         if kind == "interest":
-            face, nonce, hop = op[2:]
-            it = Interest(name, nonce, hop_limit=hop)
-            got, want = node.on_interest(now, face, it), model.interest(face, it)
+            face, nonce, hop, lifetime = op[2:]
+            it = Interest(name, nonce, lifetime, hop)
+            got, want = node.on_interest(now, face, it), model.interest(now, face, it)
         elif kind == "data":
             intact = op[2]
             face = route(name) or UP  # data comes back from upstream
             d = make_data(name, str(name).encode(), FRESH, 1)
             if not intact:
                 d = Data(name, b"corrupted", d.digest, FRESH, 1)
-            got, want = node.on_data(now, face, d), model.data(face, d, intact)
+            got, want = node.on_data(now, face, d), model.data(now, face, d, intact)
+        elif kind == "sweep":
+            got, want = node.pit_expire(now), model.sweep(now)
         elif kind == "publish":
             cid, res, payload = CONTENTS[name]
             got = node.publish_content_to_icn(now, cid, res, payload)
-            want = model.publish(name)
+            want = model.publish(now, name)
         else:
-            got, want = node.fetch_failed(name), None
-            model.drain(name)
+            got, want = node.fetch_failed(now, name), None
+            model.drain(now, name)
         assert got == want, (step, op)
         assert node.counters.drops == model.drops, (step, op)
-        assert {n: list(e.faces) for n, e in node.pit.items()} == model.pit()
-        assert {n: e.records for n, e in node.pit.items()} == model.pit_records()
+        assert node.counters.pit_timeouts == model.timeouts, (step, op)
+        assert {n: list(e.faces.items()) for n, e in node.pit.items()} == model.pit()
         if gateway:
             assert node.pending == model.pending
         if kind not in ("interest", "data"):
@@ -198,9 +229,9 @@ def check_sequence(ops, gateway: bool):
             assert new_drops == 0, (step, op)
             continue
         entry = node.pit.get(name)
-        aggregated = (kind == "interest" and name in pit_before and entry is not None
-                      and (face, nonce) in entry.records - pit_before[name])
-        pending_segment = (kind == "interest" and name not in pit_before
+        aggregated = (kind == "interest" and name in live_before and entry is not None
+                      and entry.faces.get(face) == nonce != live_before[name].get(face))
+        pending_segment = (kind == "interest" and name not in live_before
                            and entry is not None and name.parent() in pending_before)
         assert [new_drops == 1, aggregated, pending_segment].count(True) == 1, (step, op)
         assert new_drops <= 1, (step, op)
