@@ -9,6 +9,7 @@ driven and tested without any network.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -72,23 +73,45 @@ class Counters:
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
 
+def _stale_from(inserted_at: float, freshness_ms: int) -> float:
+    """A time before which ``now - inserted_at >= freshness_ms`` is false.
+
+    For 0 <= inserted_at <= now, the rounded ``now - inserted_at`` is off
+    by at most half an ulp of ``now``, and the rounded sum
+    ``inserted_at + freshness_ms`` by half an ulp of itself. So the
+    predicate turns true no earlier than one ulp below the rounded sum,
+    and the bound leaves two.
+    """
+    s = inserted_at + freshness_ms
+    return s - 2.0 * math.ulp(s)
+
+
 @dataclass(slots=True)
 class CsEntry:
     data: Data
     inserted_at: float
+    stale_from: float  # _stale_from(inserted_at, data.freshness_ms)
 
 
 class ContentStore:
-    """Exact-name cache with freshness-first then LRU eviction."""
+    """Exact-name cache with freshness-first then LRU eviction.
 
-    __slots__ = ("capacity", "entries", "bytes")
+    ``stale_from`` is a lower bound on the ``stale_from`` of every entry,
+    so eviction skips its scan for stale entries before that time. Times
+    passed to one store never decrease.
+    """
+
+    __slots__ = ("capacity", "entries", "bytes", "stale_from")
 
     def __init__(self, capacity_bytes: int):
         self.capacity = capacity_bytes
         self.entries: OrderedDict[Name, CsEntry] = OrderedDict()
         self.bytes = 0
+        self.stale_from = math.inf
 
     def lookup(self, now: float, name: Name) -> Data | None:
+        if not self.entries:
+            return None
         e = self.entries.get(name)
         if e is None:
             return None
@@ -104,29 +127,36 @@ class ContentStore:
         size = len(d.payload)
         if size > self.capacity:
             return False, []
+        stale_from = _stale_from(now, d.freshness_ms)
         old = self.entries.get(d.name)
         if old is not None:
             # Replace in place without double-counting; recency refreshed.
             self.bytes += size - len(old.data.payload)
             old.data = d
             old.inserted_at = now
+            old.stale_from = stale_from
+            self.stale_from = min(self.stale_from, stale_from)
             self.entries.move_to_end(d.name)
             return True, self._evict(now, [])
         evicted = self._evict(now, [], incoming=size)
-        self.entries[d.name] = CsEntry(d, now)
+        self.entries[d.name] = CsEntry(d, now, stale_from)
+        self.stale_from = min(self.stale_from, stale_from)
         self.bytes += size
         return True, evicted
 
     def _evict(self, now: float, evicted: list[Name], incoming: int = 0) -> list[Name]:
         if self.bytes + incoming <= self.capacity:
             return evicted
-        for name in [n for n, e in self.entries.items()
-                     if now - e.inserted_at >= e.data.freshness_ms]:
-            e = self.entries.pop(name)
-            self.bytes -= len(e.data.payload)
-            evicted.append(name)
-            if self.bytes + incoming <= self.capacity:
-                return evicted
+        if now >= self.stale_from:
+            for name in [n for n, e in self.entries.items()
+                         if now - e.inserted_at >= e.data.freshness_ms]:
+                e = self.entries.pop(name)
+                self.bytes -= len(e.data.payload)
+                evicted.append(name)
+                if self.bytes + incoming <= self.capacity:
+                    break
+            self.stale_from = min((e.stale_from for e in self.entries.values()),
+                                  default=math.inf)
         while self.bytes + incoming > self.capacity and self.entries:
             name, e = self.entries.popitem(last=False)
             self.bytes -= len(e.data.payload)
@@ -262,19 +292,22 @@ class Forwarder:
         """
         if face not in self.faces:
             raise UnknownFace(face)
-        entry = self._live_entry(now, interest.name)
+        entry = self._live_entry(now, interest.name, take=False)
         if interest.hop_limit == 0 or (entry is not None
                                        and interest.nonce in entry.faces.values()):
             self.counters.drop(DROP_LOOP)
             return False, None
         return True, entry
 
-    def _live_entry(self, now: float, name: Name) -> PitEntry | None:
-        """The PIT entry of ``name``, or None. An entry read at or after its
-        deadline has expired: it is removed and counted as a timeout."""
-        entry = self.pit.get(name)
+    def _live_entry(self, now: float, name: Name, take: bool) -> PitEntry | None:
+        """The PIT entry of ``name``, or None; ``take`` also removes it from
+        the PIT. An entry read at or after its deadline has expired: it is
+        removed and counted as a timeout."""
+        pit = self.pit
+        entry = pit.pop(name, None) if take else pit.get(name)
         if entry is not None and entry.deadline <= now:
-            del self.pit[name]
+            if not take:
+                del pit[name]
             self.counters.pit_timeouts += 1
             return None
         return entry
@@ -289,11 +322,10 @@ class Forwarder:
         if not d.intact():
             self.counters.drop(DROP_INTEGRITY)
             return []
-        entry = self._live_entry(now, d.name)
+        entry = self._live_entry(now, d.name, take=True)
         if entry is None:
             self.counters.drop(DROP_UNSOLICITED)
             return []
-        del self.pit[d.name]
         self.cs_insert(now, d)
         return [SendData(f, d) for f in entry.faces if f != face]
 

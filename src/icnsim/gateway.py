@@ -144,10 +144,9 @@ class Gateway(Forwarder):
         self.pending.discard(base)
         actions: list[Action] = []
         for name in [n for n in self.pit if base.is_prefix_of(n)]:
-            entry = self._live_entry(now, name)
+            entry = self._live_entry(now, name, take=True)
             if entry is None:
                 continue
-            del self.pit[name]
             d = self.repo.get(name)
             if d is None:
                 self.counters.drop(DROP_NO_ROUTE)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 MAX_COMPONENTS = 32
@@ -114,9 +115,11 @@ class Name:
     escapes for bytes outside the unreserved set; the root name renders
     as ``"/"``. Segment components must have the exact canonical form
     ``seg=<decimal u32>`` with no leading zeros.
+
+    ``_wire_len`` is the encoded length of the name's TLV, header included.
     """
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ("components", "_hash", "_wire_len", "__weakref__")
 
     def __init__(self, components: tuple[bytes, ...] | list[bytes] = ()):
         comps = tuple(bytes(c) for c in components)
@@ -133,6 +136,7 @@ class Name:
                     raise MalformedUri("non-canonical segment component %r" % c)
         self.components = comps
         self._hash = hash(comps)
+        self._wire_len = 5 + 5 * len(comps) + sum(map(len, comps))
 
     @classmethod
     def _unsafe(cls, comps: tuple[bytes, ...]) -> "Name":
@@ -140,6 +144,7 @@ class Name:
         n = object.__new__(cls)
         n.components = comps
         n._hash = hash(comps)
+        n._wire_len = 5 + 5 * len(comps) + sum(map(len, comps))
         return n
 
     @classmethod
@@ -170,12 +175,21 @@ class Name:
         return Name(self.components + (component,))
 
     def segment(self, n: int) -> "Name":
-        """Return this name with a ``seg=<n>`` component appended."""
+        """Return this name with a ``seg=<n>`` component appended.
+
+        While one segment name is alive, every call for it returns that
+        same object, so the tables keyed by segment names match their keys
+        by identity and never reach ``__eq__``.
+        """
         if not 0 <= n <= U32_MAX:
             raise ValueError("segment number out of u32 range: %r" % n)
         if len(self.components) >= MAX_COMPONENTS:
             raise MalformedUri("cannot append segment to a full name")
-        return Name._unsafe(self.components + (b"seg=%d" % n,))
+        comps = self.components + (b"seg=%d" % n,)
+        name = _SEGMENT_NAMES.get(comps)
+        if name is None:
+            name = _SEGMENT_NAMES[comps] = Name._unsafe(comps)
+        return name
 
     def seg_number(self) -> int | None:
         """Segment number of the last component, or None."""
@@ -206,6 +220,13 @@ class Name:
         return "Name(%r)" % self.uri
 
 
+# Live segment names by components. Names are immutable, so sharing one
+# object between callers changes nothing but the identity; the table
+# holds a name only while something else does.
+_SEGMENT_NAMES: weakref.WeakValueDictionary[tuple[bytes, ...], Name] = (
+    weakref.WeakValueDictionary())
+
+
 @dataclass(slots=True)
 class Interest:
     """Request packet naming the desired content."""
@@ -224,7 +245,17 @@ class Interest:
             raise ValueError("hop limit out of u8 range")
 
     def decremented(self) -> "Interest":
-        return Interest(self.name, self.nonce, self.lifetime_ms, self.hop_limit - 1)
+        """This interest with one hop less. Only the hop limit can leave
+        its range, so the other fields are copied without a re-check."""
+        hop_limit = self.hop_limit - 1
+        if hop_limit < 0:
+            raise ValueError("hop limit out of u8 range")
+        out = object.__new__(Interest)
+        out.name = self.name
+        out.nonce = self.nonce
+        out.lifetime_ms = self.lifetime_ms
+        out.hop_limit = hop_limit
+        return out
 
 
 @dataclass(slots=True, frozen=True)
@@ -304,18 +335,14 @@ def hash_stream(key: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
-def _name_inner_len(name: Name) -> int:
-    return sum(5 + len(c) for c in name.components)
-
-
 def interest_wire_len(i: Interest) -> int:
     """Encoded byte length of an interest, without building the bytes."""
-    return 5 + (5 + _name_inner_len(i.name)) + 13 + 9 + 6
+    return 5 + i.name._wire_len + 13 + 9 + 6
 
 
 def data_wire_len(d: Data) -> int:
     """Encoded byte length of a data packet, without building the bytes."""
-    n = 5 + (5 + _name_inner_len(d.name)) + (5 + len(d.payload)) + 37 + 9
+    n = 5 + d.name._wire_len + (5 + len(d.payload)) + 37 + 9
     if d.final_segment is not None:
         n += 9
     return n

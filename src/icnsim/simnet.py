@@ -43,12 +43,38 @@ class Event:
 
 
 class _LinkDir:
-    __slots__ = ("latency_ms", "mbps", "free_at")
+    """One direction of a link and the messages in flight on it.
 
-    def __init__(self, latency_ms: float, mbps: float):
+    ``free_at`` never falls and the latency is fixed, so messages arrive
+    in the order they were sent: each delivery event takes the head of
+    ``in_flight``, and one ``deliver``, bound once, serves them all.
+    """
+
+    __slots__ = ("net", "src", "dst", "latency_ms", "mbps", "free_at", "in_flight",
+                 "deliver")
+
+    def __init__(self, net: "Network", src: str, dst: str, latency_ms: float,
+                 mbps: float):
+        self.net = net
+        self.src = src
+        self.dst = dst
         self.latency_ms = latency_ms
         self.mbps = mbps
         self.free_at = 0.0
+        self.in_flight: deque = deque()  # (msg, nbytes), in send order
+        self.deliver = self._deliver
+
+    def _deliver(self, now: float):
+        msg, nbytes = self.in_flight.popleft()
+        net = self.net
+        h = net.hosts.get(self.dst)
+        if h is None:
+            return
+        if net.delivery_filter is not None:
+            msg = net.delivery_filter(now, self.src, self.dst, msg)
+            if msg is None:
+                return
+        h.receive(now, self.src, msg, nbytes)
 
 
 @dataclass(slots=True)
@@ -181,8 +207,8 @@ class Network:
             raise ValueError("bandwidth must be > 0")
         if latency_ms < 0:
             raise ValueError("latency must be >= 0")
-        self._links[(a, b)] = _LinkDir(latency_ms, bandwidth_mbps)
-        self._links[(b, a)] = _LinkDir(latency_ms, bandwidth_mbps)
+        self._links[(a, b)] = _LinkDir(self, a, b, latency_ms, bandwidth_mbps)
+        self._links[(b, a)] = _LinkDir(self, b, a, latency_ms, bandwidth_mbps)
         self._adj[a].append((b, latency_ms))
         self._adj[b].append((a, latency_ms))
         self.hosts[a].attach_link_face(b)
@@ -257,18 +283,8 @@ class Network:
         c = shost.counters
         c.tx_pkts += 1
         c.tx_bytes += nbytes
-
-        def _deliver(now, src=src, dst=dst, msg=msg, nbytes=nbytes):
-            h = self.hosts.get(dst)
-            if h is None:
-                return
-            if self.delivery_filter is not None:
-                msg = self.delivery_filter(now, src, dst, msg)
-                if msg is None:
-                    return
-            h.receive(now, src, msg, nbytes)
-
-        self.schedule(at, _deliver)
+        link.in_flight.append((msg, nbytes))
+        self.schedule(at, link.deliver)
         return True
 
 

@@ -10,6 +10,11 @@ settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
 
 
+names = st.lists(
+    st.binary(min_size=1, max_size=16).filter(lambda c: not c.startswith(b"seg=")),
+    min_size=0, max_size=6).map(lambda cs: Name(tuple(cs)))
+
+
 def test_interest_roundtrip_example():
     i = Interest(Name.parse("/a"), nonce=1, lifetime_ms=4000, hop_limit=32)
     assert decode_packet(encode_packet(i)) == i
@@ -37,6 +42,33 @@ def test_wire_len_matches_encoder():
     assert data_wire_len(d) == len(encode_packet(d))
     d2 = make_data(Name.parse("/x"), b"abc", 5, final_segment=9)
     assert data_wire_len(d2) == len(encode_packet(d2)) == data_wire_len(d) + 3 + 9
+
+
+@given(names, st.integers(0, 2**32 - 1))
+def test_cached_wire_len_matches_encoder_however_the_name_is_built(name, seg):
+    comps = name.components
+    seg_name = name.segment(seg)
+    built = [
+        Name(comps),
+        Name.parse(name.uri),
+        seg_name,
+        seg_name.parent(),
+        name.child(b"c"),
+        decode_packet(encode_packet(Interest(seg_name, 1))).name,
+        *(Name._unsafe(comps[:k]) for k in range(len(comps) + 1)),  # LPM prefixes
+    ]
+    for n in built:
+        i = Interest(n, 7)
+        d = make_data(n, b"abc", 5, final_segment=1)
+        assert interest_wire_len(i) == len(encode_packet(i)), n
+        assert data_wire_len(d) == len(encode_packet(d)), n
+
+
+def test_decremented_at_hop_limit_zero_raises():
+    with pytest.raises(ValueError):
+        Interest(Name.parse("/a"), 1, hop_limit=0).decremented()
+    assert Interest(Name.parse("/a"), 1, hop_limit=1).decremented() == Interest(
+        Name.parse("/a"), 1, hop_limit=0)
 
 
 def test_final_segment_omitted_when_absent():
@@ -79,11 +111,6 @@ def test_digest_field_not_checked_by_codec():
     # Integrity is the forwarder's job; the codec round-trips bad digests.
     d = Data(Name.parse("/a"), b"payload", b"\x00" * 32, 1)
     assert decode_packet(encode_packet(d)) == d
-
-
-names = st.lists(
-    st.binary(min_size=1, max_size=16).filter(lambda c: not c.startswith(b"seg=")),
-    min_size=0, max_size=6).map(lambda cs: Name(tuple(cs)))
 
 
 @given(names, st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1), st.integers(0, 255))

@@ -1,11 +1,14 @@
 import dataclasses
 import random
+from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icnsim.forwarder import (DROP_INTEGRITY, DROP_LOOP, DROP_NO_ROUTE,
-                              DROP_UNSOLICITED, DuplicateFace, Forwarder,
-                              SendData, SendInterest, UnknownFace, UnknownPrefix)
+                              DROP_UNSOLICITED, ContentStore, DuplicateFace,
+                              Forwarder, SendData, SendInterest, UnknownFace,
+                              UnknownPrefix)
 from icnsim.ndn import Data, Interest, Name, make_data
 
 V0 = Name.parse("/v/seg=0")
@@ -265,6 +268,104 @@ def test_cs_capacity_never_exceeded_random_ops():
             f.cs.lookup(float(step), n)
         assert f.cs.bytes <= 40_000
         assert f.cs.bytes == sum(len(e.data.payload) for e in f.cs.entries.values())
+
+
+class ScanningStore:
+    """The content store without the skip rule: every eviction scans all
+    entries for stale ones, then evicts least recently used."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries = OrderedDict()  # name -> (data, inserted_at)
+        self.bytes = 0
+
+    def lookup(self, now, name):
+        e = self.entries.get(name)
+        if e is None:
+            return None
+        if now - e[1] >= e[0].freshness_ms:
+            del self.entries[name]
+            self.bytes -= len(e[0].payload)
+            return None
+        self.entries.move_to_end(name)
+        return e[0]
+
+    def insert(self, now, d):
+        size = len(d.payload)
+        if size > self.capacity:
+            return False, []
+        old = self.entries.get(d.name)
+        if old is not None:
+            self.bytes += size - len(old[0].payload)
+            self.entries[d.name] = (d, now)
+            self.entries.move_to_end(d.name)
+            return True, self._evict(now, 0)
+        evicted = self._evict(now, size)
+        self.entries[d.name] = (d, now)
+        self.bytes += size
+        return True, evicted
+
+    def _evict(self, now, incoming):
+        evicted = []
+        if self.bytes + incoming <= self.capacity:
+            return evicted
+        for name in [n for n, (d, at) in self.entries.items() if now - at >= d.freshness_ms]:
+            self.bytes -= len(self.entries.pop(name)[0].payload)
+            evicted.append(name)
+            if self.bytes + incoming <= self.capacity:
+                return evicted
+        while self.bytes + incoming > self.capacity and self.entries:
+            name, (d, _at) = self.entries.popitem(last=False)
+            self.bytes -= len(d.payload)
+            evicted.append(name)
+        return evicted
+
+
+BIG = 3_600_000
+CS_NAMES = [Name.parse("/cs%d/seg=0" % i) for i in range(5)]
+_cs_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(CS_NAMES) - 1), st.integers(0, 4),
+              st.sampled_from((0, 1, 3, BIG))),
+    st.tuples(st.just("lookup"), st.integers(0, len(CS_NAMES) - 1)),
+    st.tuples(st.just("wait"), st.sampled_from((0.1, 0.2, 0.3, 1.0))),
+    # Jump to the float sum inserted_at + freshness_ms of one entry, where
+    # rounding decides whether it is stale.
+    st.tuples(st.just("to-boundary"), st.integers(0, len(CS_NAMES) - 1)),
+), max_size=60)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_cs_ops)
+# An eviction that leaves a stale entry behind.
+@example([("insert", 0, 1, 0), ("insert", 1, 1, BIG), ("insert", 2, 1, 0), ("wait", 1.0),
+          ("insert", 3, 1, BIG), ("wait", 1.0), ("insert", 4, 1, BIG)])
+# An in-place replace that shortens freshness.
+@example([("insert", 0, 1, BIG), ("insert", 1, 1, BIG), ("wait", 1.0), ("insert", 1, 1, 0),
+          ("insert", 2, 1, BIG), ("wait", 1.0), ("insert", 3, 1, BIG)])
+# A new entry inserted by an eviction that scanned.
+@example([("insert", 0, 1, 0), ("insert", 1, 1, BIG), ("insert", 2, 1, BIG), ("wait", 1.0),
+          ("insert", 3, 1, 1), ("wait", 1.0), ("wait", 1.0), ("insert", 4, 1, BIG)])
+# Stale at 3.6999999999999997 ms, below the float sum 0.7 + 3 = 3.7.
+@example([("insert", 0, 1, BIG), ("wait", 0.1), ("wait", 0.3), ("wait", 0.3),
+          ("insert", 1, 1, 3), ("insert", 2, 1, BIG)]
+         + [("wait", w) for w in (0.1, 0.3, 0.3, 1.0, 0.3, 1.0)] + [("insert", 3, 1, BIG)])
+def test_cs_insert_matches_a_store_that_always_scans(ops):
+    store, ref = ContentStore(3000), ScanningStore(3000)
+    now = 0.0
+    for op in ops:
+        if op[0] == "insert":
+            d = make_data(CS_NAMES[op[1]], bytes(op[2] * 1000), op[3], 0)
+            assert store.insert(now, d) == ref.insert(now, d)
+        elif op[0] == "lookup":
+            assert store.lookup(now, CS_NAMES[op[1]]) == ref.lookup(now, CS_NAMES[op[1]])
+        elif op[0] == "wait":
+            now += op[1]
+        elif ref.entries:
+            d, at = list(ref.entries.values())[op[1] % len(ref.entries)]
+            now = max(now, at + d.freshness_ms)
+        assert [(n, e.data, e.inserted_at) for n, e in store.entries.items()] == [
+            (n, d, at) for n, (d, at) in ref.entries.items()]
+        assert store.bytes == ref.bytes
 
 
 # -- FIB ------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icnsim import ndn
 from icnsim.ndn import MalformedUri, Name
 
 settings.register_profile("ci", deadline=None, derandomize=True)
@@ -63,6 +66,15 @@ def test_segment_name():
     seg = base.segment(7)
     assert Name.parse(str(seg)) == seg
     assert seg.seg_number() == 7
+
+
+def test_segment_names_are_one_object_while_alive():
+    assert Name.parse("/a/b").segment(3) is Name.parse("/a/b").segment(3)
+    seg = Name.parse("/a/b").segment(3)
+    assert Name(seg.components) == seg and Name(seg.components) is not seg
+    key = Name.parse("/transient").segment(9).components
+    gc.collect()
+    assert key not in ndn._SEGMENT_NAMES
 
 
 def test_segment_rejects_full_name():

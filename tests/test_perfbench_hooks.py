@@ -3,8 +3,9 @@
 ``perfbench/child.py`` wraps program attributes by name, so a rename in
 ``src`` would make a traced benchmark report no calls for a layer rather
 than fail. This installs that tracer on the mini scenario in both
-delivery modes, checks that the main layers are called and that
-``restore`` puts every original attribute back.
+delivery modes, checks that the main layers are called, pins the call
+counts of the per-packet layers, and checks that ``restore`` puts every
+original attribute back.
 """
 
 import importlib
@@ -25,6 +26,15 @@ CALLED = {
     "icn": ("forwarder.on_interest", "gateway.on_interest", "gateway.publish",
             "simnet.consumer"),
     "cdn-only": ("simnet.consumer", "simnet.ip", "origin.stream"),
+}
+# Exact counts on mini. A hot path that stops going through a wrapped
+# name makes the traced benchmark under-report, and changes these.
+SCHEDULED = {"icn": 31, "cdn-only": 53}
+SPAN_CALLS = {
+    "icn": {"simnet.send": 18, "simnet.receive": 18, "forwarder.on_interest": 12,
+            "forwarder.on_data": 8, "ndn.decremented": 8},
+    "cdn-only": {"simnet.send": 36, "simnet.receive": 36, "forwarder.on_interest": 0,
+                 "forwarder.on_data": 0, "ndn.decremented": 0},
 }
 
 
@@ -49,6 +59,8 @@ def test_tracer_hooks_reach_layers_and_restore(perfbench, mode):
     totals = t.totals()
     for span in CALLED[mode]:
         assert totals.get(span, [0])[0] > 0, span
+    assert t.counts["events.scheduled"] == SCHEDULED[mode]
+    assert {span: totals.get(span, [0])[0] for span in SPAN_CALLS[mode]} == SPAN_CALLS[mode]
     assert chunks, "no delivered payload was recorded"
     assert all(r.status == "ok" for r in run.records)
     for owner, old in before.items():
