@@ -19,9 +19,8 @@ from .ndn import (Data, Interest, MalformedPacket, MalformedUri, Name,
 from .orchestration import (DomainSpec, Flavor, Knobs, Orchestrator, QuotaExceeded,
                             ScaleRequest, SliceSpec, UnknownSlice, Vim, VnfSpec,
                             slice_faults)
-from .origin import (BadRange, CdnOrigin, ContentObject, DuplicateContent,
-                     DuplicateVariant, ResolutionProfile, UnknownContent,
-                     synthesize_payload)
+from .origin import (CdnOrigin, ContentObject, DuplicateContent, DuplicateVariant,
+                     ResolutionProfile, UnknownContent, synthesize_payload)
 from .scenario import Scenario, ScenarioError, load_scenario, validate_doc
 from .simnet import (Host, HorizonExceeded, IpPopulation, Network, Population,
                      RequestRecord)

@@ -48,7 +48,9 @@ class SimRun:
 
 class _Sampler:
     """Periodic meter snapshot: one row per (bucket, node) with the change
-    of the node's cumulative meters; a removed host gets one last row."""
+    of the node's cumulative meters; a removed host gets one last row.
+    Expired PIT entries are reclaimed before each snapshot, so ``mem_bytes``
+    counts only live ones."""
 
     def __init__(self, net: Network, bucket_ms: float, samples: list[Sample],
                  populations: list):
@@ -67,6 +69,8 @@ class _Sampler:
         hosts = self.net.all_hosts
         for node in sorted(hosts):
             h = hosts[node]
+            if h.fwd is not None:
+                h.fwd.pit_expire(now)
             meters = (h.busy_ms_total, h.counters.rx_bytes, h.counters.tx_bytes)
             busy, rx, tx = self._marks.get(node, (0.0, 0, 0))
             if node not in self.net.hosts and meters == (busy, rx, tx):
@@ -85,19 +89,6 @@ class _Sampler:
     def final_flush(self, now: float):
         if now > self._last:
             self._flush(now, now - self._last)
-
-
-def _start_pit_sweeps(net: Network, period_ms: float):
-    """Expire the PIT entries of every forwarder, hosts added later included."""
-    def sweep(now: float):
-        fwds = [h.fwd for h in net.all_hosts.values() if h.fwd is not None]
-        for fwd in fwds:
-            fwd.pit_expire(now)
-        if net.active() or any(fwd.pit for fwd in fwds):
-            net.schedule(now + period_ms, sweep, real=False)
-
-    # Offset by half a period so sweeps never collide with round timers.
-    net.schedule(period_ms / 2.0, sweep, real=False)
 
 
 def build_and_run(scenario: Scenario) -> SimRun:
@@ -190,7 +181,6 @@ def build_and_run(scenario: Scenario) -> SimRun:
                              publishes.append((cid, res, size, ms)))
 
     sampler = _Sampler(net, knobs.bucket_ms, samples, populations)
-    _start_pit_sweeps(net, knobs.pit_sweep_ms)
 
     def scale_tick(now):
         for label, sid in list(slices.items()):

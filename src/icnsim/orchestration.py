@@ -100,7 +100,6 @@ class Knobs:
     publish_freshness_ms: int = 3_600_000
     interest_lifetime_ms: int = 4000
     horizon_ms: float = 86_400_000.0
-    pit_sweep_ms: float = 500.0
     transcode_rate_bps: float = 20e6
     scale_threshold: float = 0.8
     scale_window_ms: float = 10_000.0
@@ -421,9 +420,8 @@ class Orchestrator:
         inst = self._instantiate(state, VnfSpec(req.role, req.domain, req.flavor, node), alloc)
         host = inst.host
         # Clone the original's adjacency, then advertise equal-cost next hops.
-        for peer, lat in list(self.net._adj.get(original.node, [])):
-            link = self.net._links[(original.node, peer)]
-            self.net.add_link(node, peer, lat, link.mbps)
+        for peer, lat, mbps in self.net.links_of(original.node):
+            self.net.add_link(node, peer, lat, mbps)
         if original.host.fwd is not None and host.fwd is not None:
             for e in original.host.fwd.fib_entries():
                 hops = []

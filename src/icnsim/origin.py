@@ -28,10 +28,6 @@ class UnknownContent(LookupError):
     pass
 
 
-class BadRange(ValueError):
-    pass
-
-
 def _as_fraction(scale) -> Fraction:
     if isinstance(scale, float):
         return Fraction(str(scale))
@@ -126,17 +122,9 @@ class CdnOrigin:
             raise UnknownContent((content_id, resolution))
         return obj
 
-    def stream(self, content_id: str, resolution: str,
-               byte_range: tuple[int, int] | None = None) -> bytes:
-        """Return the requested bytes; the network layer models delivery."""
-        obj = self.get(content_id, resolution)
-        if byte_range is None:
-            out = obj.payload
-        else:
-            start, end = byte_range
-            if not 0 <= start <= end <= len(obj.payload):
-                raise BadRange(byte_range)
-            out = obj.payload[start:end]
+    def stream(self, content_id: str, resolution: str) -> bytes:
+        """Return the whole payload; the network layer models delivery."""
+        out = self.get(content_id, resolution).payload
         self.streams += 1
         self.bytes_out += len(out)
         return out

@@ -11,9 +11,7 @@ so heap order is a tuple comparison in C that never reaches the Event.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +21,7 @@ from .forwarder import (DROP_NO_ROUTE, Counters, Forwarder, SendData,
 from .gateway import Gateway, PendingFetch
 from .ndn import (Data, Interest, Name, compute_digest, data_wire_len,
                   interest_wire_len)
-from .origin import BadRange, CdnOrigin, UnknownContent
+from .origin import CdnOrigin, UnknownContent
 
 IP_REQUEST_BYTES = 512
 INFINITY = float("inf")
@@ -90,7 +88,6 @@ class IpRequest:
     request_id: int
     content_id: str
     resolution: str
-    byte_range: tuple[int, int] | None
 
 
 @dataclass(slots=True)
@@ -106,7 +103,7 @@ class IpResponse:
 class Network:
     """The event queue plus topology: hosts, links and IP routing."""
 
-    def __init__(self, horizon_ms: float | None = None, trace: bool = False):
+    def __init__(self, horizon_ms: float | None = None):
         self.now = 0.0
         self.horizon_ms = horizon_ms
         self.hosts: dict[str, "Host"] = {}
@@ -117,7 +114,6 @@ class Network:
         self._seq = 0
         self._pending_real = 0
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
-        self._trace = hashlib.sha256() if trace else None
         self.delivery_filter: Callable | None = None
 
     # -- scheduling --------------------------------------------------------
@@ -142,41 +138,22 @@ class Network:
         """True while real (non-housekeeping) events are still pending."""
         return self._pending_real > 0
 
-    def _run_one(self, t: float, seq: int, ev: Event):
-        self.now = t
-        ev.cancelled = True  # spent: cancelling it later changes nothing
-        if ev.real:
-            self._pending_real -= 1
-        if self._trace is not None:
-            self._trace.update(struct.pack(">dQ", t, seq))
-        ev.fn(t)
-
-    def run_until(self, t: float) -> float:
-        heap = self._heap
-        while heap and heap[0][0] <= t:
-            at, seq, ev = heapq.heappop(heap)
-            if not ev.cancelled:
-                self._run_one(at, seq, ev)
-        self.now = max(self.now, t)
-        return self.now
-
     def run_to_completion(self) -> float:
         heap = self._heap
         horizon = self.horizon_ms
         while heap:
-            at, seq, ev = heapq.heappop(heap)
+            at, _seq, ev = heapq.heappop(heap)
             if ev.cancelled:
                 continue
             if horizon is not None and at > horizon:
                 raise HorizonExceeded(
                     "event at %.3f ms beyond horizon %.3f ms" % (at, horizon))
-            self._run_one(at, seq, ev)
+            self.now = at
+            ev.cancelled = True  # spent: cancelling it later changes nothing
+            if ev.real:
+                self._pending_real -= 1
+            ev.fn(at)
         return self.now
-
-    def trace_digest(self) -> str:
-        if self._trace is None:
-            raise ValueError("network was not created with trace=True")
-        return self._trace.hexdigest()
 
     # -- topology ----------------------------------------------------------
 
@@ -229,6 +206,11 @@ class Network:
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._links
+
+    def links_of(self, node: str) -> list[tuple[str, float, float]]:
+        """The links at ``node`` as (peer, latency_ms, mbps), in the order added."""
+        return [(peer, lat, self._links[(node, peer)].mbps)
+                for peer, lat in self._adj.get(node, [])]
 
     # -- IP routing (shortest path by latency) ------------------------------
 
@@ -443,14 +425,13 @@ class Host:
             self.counters.drop(DROP_NO_ROUTE)
             return
         try:
-            payload = self.origin.stream(msg.content_id, msg.resolution, msg.byte_range)
-        except (UnknownContent, BadRange) as e:
+            payload = self.origin.stream(msg.content_id, msg.resolution)
+        except UnknownContent:
             resp = IpResponse(self.id, msg.src, msg.request_id, None, b"\0" * 32,
-                              type(e).__name__)
+                              "UnknownContent")
             self.send_ip(resp, IP_REQUEST_BYTES)
             return
-        obj = self.origin.get(msg.content_id, msg.resolution)
-        digest = obj.digest if payload is obj.payload else compute_digest(payload)
+        digest = self.origin.get(msg.content_id, msg.resolution).digest
         resp = IpResponse(self.id, msg.src, msg.request_id, payload, digest, None)
         self.send_ip(resp, len(payload))
 
@@ -461,8 +442,7 @@ class Host:
         assert isinstance(gw, Gateway) and gw.origin_ref is not None
         rid = self.next_request_id()
         self.counters.origin_fetches += 1
-        req = IpRequest(self.id, gw.origin_ref.node, rid, pf.content_id,
-                        pf.resolution, None)
+        req = IpRequest(self.id, gw.origin_ref.node, rid, pf.content_id, pf.resolution)
         self.send_ip(req, IP_REQUEST_BYTES)
         ev = self.net.schedule(now + self.origin_timeout_ms,
                                lambda t, rid=rid: self._end_fetch(t, rid, None))
@@ -753,8 +733,7 @@ class IpPopulation(_Consumers):
                                lambda t, ip_id=ip_id: self._timeout(t, ip_id))
         self._live[ip_id] = (rid, now, ev)
         self.host.await_ip_response(ip_id, self._on_response)
-        req = IpRequest(self.host.id, self.target, ip_id, self.content_id,
-                        self.resolution, None)
+        req = IpRequest(self.host.id, self.target, ip_id, self.content_id, self.resolution)
         self.host.send_ip(req, IP_REQUEST_BYTES)
 
     def _on_response(self, now: float, msg: IpResponse):

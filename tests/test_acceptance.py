@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from icnsim.forwarder import Forwarder
-from icnsim.harness import _start_pit_sweeps, publish_bench, run_scenario
+from icnsim.harness import publish_bench, run_scenario
 from icnsim.metrics import region_stats
 from icnsim.ndn import (Interest, Name, chunk_content, data_wire_len,
                         interest_wire_len, make_data)
@@ -188,7 +188,6 @@ def test_criterion_7_conservation_and_integrity(reference_run):
         hosts["c"].fwd.cs_insert(0.0, d)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
     hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
-    _start_pit_sweeps(net, 500.0)
     fired = []
 
     def corrupt_once(now, src, dst, msg):

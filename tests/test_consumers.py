@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from icnsim.harness import _start_pit_sweeps
 from icnsim.ndn import (Data, Interest, Name, chunk_content, interest_wire_len,
                         data_wire_len, make_data)
 from icnsim.simnet import Population, WireData
@@ -110,7 +109,6 @@ def test_corruption_drops_then_retransmission_recovers():
     preload(hosts["c"], payload)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
     hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
-    _start_pit_sweeps(net, 500.0)
     corrupted = []
 
     def corrupt_once(now, src, dst, msg):

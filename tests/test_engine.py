@@ -2,8 +2,7 @@
 
 Random programs schedule events at times with ties and times before
 ``now`` (clamped to ``now``), cancel pending, cancelled and already-run
-events, mix real and housekeeping events, and split the run with
-``run_until`` before ``run_to_completion``. The model keeps every event
+events, and mix real and housekeeping events. The model keeps every event
 in a flat list and rescans it for the least ``(time, seq)``. The engine
 must run exactly the events the model runs, in the same order at the same
 times, and ``active()`` must say whether the model has a real event
@@ -26,7 +25,6 @@ PROGRAMS = st.tuples(
     st.lists(st.tuples(TIMES, st.booleans()), min_size=1, max_size=12),
     ACTIONS,
     st.lists(st.integers(0, MAX_EVENTS), max_size=4),   # cancelled before the run
-    st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 100.0]),  # run_until split
 )
 
 
@@ -45,8 +43,8 @@ class Model:
         if self.events[eid][3] == "pending":
             self.events[eid][3] = "cancelled"
 
-    def pop(self, limit: float) -> int | None:
-        due = [e for e in self.events if e[3] == "pending" and e[0] <= limit]
+    def pop(self) -> int | None:
+        due = [e for e in self.events if e[3] == "pending"]
         if not due:
             return None
         e = min(due, key=lambda e: (e[0], e[1]))
@@ -59,7 +57,7 @@ class Model:
 
 
 def play(program, engine: bool) -> list:
-    initial, actions, cancels, split = program
+    initial, actions, cancels = program
     net = Network() if engine else None
     model = None if engine else Model()
     handles: list = []
@@ -95,16 +93,10 @@ def play(program, engine: bool) -> list:
     for eid in cancels:
         cancel(eid)
     if engine:
-        net.run_until(split)
-        log.append(("split", net.now, net.active()))
         net.run_to_completion()
         log.append(("end", net.now, net.active()))
         return log
-    while (eid := model.pop(split)) is not None:
-        run(model.now, eid)
-    model.now = max(model.now, split)
-    log.append(("split", model.now, model.active()))
-    while (eid := model.pop(float("inf"))) is not None:
+    while (eid := model.pop()) is not None:
         run(model.now, eid)
     log.append(("end", model.now, model.active()))
     return log
@@ -118,8 +110,14 @@ def test_engine_matches_brute_force_queue(program):
 
 def test_cancelling_a_spent_event_keeps_pending_count():
     net = Network()
+    seen = []
     spent = net.schedule(1.0, lambda t: None)
+
+    def cancel_spent(t):
+        net.cancel(spent)
+        seen.append(net.active())
+
+    net.schedule(2.0, cancel_spent)
     net.schedule(5.0, lambda t: None)
-    net.run_until(2.0)
-    net.cancel(spent)
-    assert net.active()
+    net.run_to_completion()
+    assert seen == [True]

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from icnsim import harness, ndn, origin, simnet
+from icnsim import forwarder, harness, ndn, origin, simnet
 from icnsim.harness import build_and_run, publish_bench, run_scenario
 from icnsim.ndn import Name
 from icnsim.origin import synthesize_payload
@@ -222,17 +222,42 @@ def test_build_and_run_accepts_parsed_scenario():
     assert len(run.records) == 6
 
 
-def test_pit_sweep_period_does_not_change_results(tmp_path):
+def test_bucket_width_does_not_change_results(tmp_path):
     # Every interest outlives its 8 ms lifetime before its Data comes back,
-    # so each PIT read must find the entry expired, however often sweeps run.
+    # so each PIT read must find the entry expired, whenever the sampler
+    # reclaims expired entries.
     outputs = []
-    for sweep_ms in (1, 50, 500):
-        out = tmp_path / str(sweep_ms)
+    for bucket_ms in (5, 100, 1000):
+        out = tmp_path / str(bucket_ms)
         run_scenario(MINI, out, ["knobs.interest_lifetime_ms=8",
-                                 "knobs.pit_sweep_ms=%d" % sweep_ms])
+                                 "knobs.bucket_ms=%d" % bucket_ms])
         outputs.append({name: (out / name).read_bytes()
                         for name in ("requests.csv", "node_counters.csv", "summary.txt")})
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_mem_bytes_counts_only_live_pit_entries(monkeypatch):
+    # client has no content store, so its mem_bytes is its PIT. An entry
+    # inserted at t lives until t + 8 ms, so a sample at T can count only
+    # the entries inserted in (T - 8, T].
+    inserts = []
+    real_insert = forwarder.Forwarder._pit_insert
+
+    def recording_insert(self, now, face, interest):
+        inserts.append((self, now))
+        real_insert(self, now, face, interest)
+
+    monkeypatch.setattr(forwarder.Forwarder, "_pit_insert", recording_insert)
+    run = run_scenario(MINI, None, ["knobs.interest_lifetime_ms=8",
+                                    "knobs.bucket_ms=100"])
+    client = run.hosts["client"].fwd
+    times = [t for fwd, t in inserts if fwd is client]
+    rows = [s for s in run.samples if s.node == "client"]
+    sampled_at = [s.t_bucket_ms for s in rows[1:]] + [run.final_ms]
+    assert times and len(rows) > 1
+    for row, at in zip(rows, sampled_at):
+        live = sum(1 for t in times if at - 8 < t <= at)
+        assert row.mem_bytes <= forwarder.PIT_ENTRY_MEM_BYTES * live, row
 
 
 TABLES = (dict, set, list, deque)

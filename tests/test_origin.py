@@ -1,8 +1,7 @@
 import pytest
 
-from icnsim.origin import (BadRange, CdnOrigin, DuplicateContent,
-                           DuplicateVariant, ResolutionProfile, UnknownContent,
-                           synthesize_payload)
+from icnsim.origin import (CdnOrigin, DuplicateContent, DuplicateVariant,
+                           ResolutionProfile, UnknownContent, synthesize_payload)
 
 MIB = 1024 * 1024
 
@@ -79,15 +78,14 @@ def test_fractional_scale_floor():
     assert out.size_bytes == 3  # floor(10/3)
 
 
-def test_stream_full_and_range():
+def test_stream_returns_whole_payload():
     o = loaded_origin()
     full = o.stream("v42", "1080p")
+    assert full is o.get("v42", "1080p").payload
     assert len(full) == 2 * MIB
-    head = o.stream("v42", "1080p", (0, 8192))
-    assert len(head) == 8192
-    assert head == full[:8192]
+    o.stream("v42", "1080p")
     assert o.streams == 2
-    assert o.bytes_out == 2 * MIB + 8192
+    assert o.bytes_out == 4 * MIB
 
 
 def test_stream_errors():
@@ -96,12 +94,6 @@ def test_stream_errors():
         o.stream("v42", "480p")
     with pytest.raises(UnknownContent):
         o.stream("ghost", "1080p")
-    with pytest.raises(BadRange):
-        o.stream("v42", "1080p", (0, 2 * MIB + 1))
-    with pytest.raises(BadRange):
-        o.stream("v42", "1080p", (-1, 10))
-    with pytest.raises(BadRange):
-        o.stream("v42", "1080p", (10, 5))
 
 
 def test_synthesize_payload_keyed_on_all_inputs():

@@ -1,8 +1,14 @@
+import ast
+import dataclasses
 import json
+import re
 
+from icnsim.orchestration import Knobs
 from icnsim.scenario import apply_overrides, load_scenario, parse_doc, validate_doc
 
-from conftest import MINI, REFERENCE
+from conftest import MINI, REFERENCE, SCENARIOS
+
+README = SCENARIOS.parent / "README.md"
 
 
 def load_doc(path):
@@ -99,9 +105,18 @@ def test_unknown_top_level_and_knob_fields():
     doc = load_doc(MINI)
     doc["extra"] = 1
     assert any(d.code == "unknown-field" for d in validate_doc(doc))
-    doc = load_doc(MINI)
-    doc["knobs"]["warp_speed"] = 9
-    assert any(d.path == "knobs.warp_speed" for d in validate_doc(doc))
+    # pit_sweep_ms was a knob once; PIT entries now expire at their deadline.
+    for knob in ("warp_speed", "pit_sweep_ms"):
+        doc = load_doc(MINI)
+        doc["knobs"][knob] = 9
+        assert any(d.code == "unknown-field" and d.path == "knobs." + knob
+                   for d in validate_doc(doc))
+
+
+def test_readme_knob_table_matches_knobs():
+    rows = re.findall(r"^\s*\| `(\w+)` \| ([-+.\d]+) \|", README.read_text(), re.M)
+    documented = [(name, ast.literal_eval(default)) for name, default in rows]
+    assert documented == [(f.name, f.default) for f in dataclasses.fields(Knobs)]
 
 
 def test_upload_requires_existing_cdn_slice():
