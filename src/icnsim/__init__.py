@@ -17,8 +17,7 @@ from .ndn import (Data, Interest, MalformedPacket, MalformedUri, Name,
                   compute_digest, data_wire_len, decode_packet, encode_packet,
                   hash_stream, interest_wire_len, make_data)
 from .orchestration import (DomainSpec, Flavor, Knobs, Orchestrator, QuotaExceeded,
-                            ScaleRequest, SliceSpec, UnknownSlice, Vim, VnfSpec,
-                            slice_faults)
+                            SliceSpec, UnknownSlice, Vim, VnfSpec, slice_faults)
 from .origin import (CdnOrigin, ContentObject, DuplicateContent, DuplicateVariant,
                      ResolutionProfile, UnknownContent, synthesize_payload)
 from .scenario import Scenario, ScenarioError, load_scenario, validate_doc

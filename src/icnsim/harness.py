@@ -127,15 +127,14 @@ def build_and_run(scenario: Scenario) -> SimRun:
     for op in scenario.northbound:
         kind = op["op"]
         if kind in ("create_cdn_slice", "create_icn_slice"):
-            sid = orch.create_slice(op["spec"], now=0.0)
+            sid = orch.create_slice(op["spec"])
             slices[op["slice"]] = sid
-            duration = op["spec"].duration_ms
 
             def expire(now, sid=sid):
                 if sid in orch.slices:
-                    orch.expire_slices(now)
+                    orch.destroy_slice(sid)
 
-            net.schedule(duration, expire, real=False)
+            net.schedule(op["spec"].duration_ms, expire, real=False)
             flush_links()
         elif kind == "upload":
             cd = contents[op["content_id"]]
@@ -159,8 +158,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
     for p in scenario.populations:
         host = net.hosts[p.attach_node]
         if scenario.mode == "cdn-only":
-            cdn_sids = [sid for sid in slices.values()
-                        if sid in orch.slices and orch.slices[sid].spec.kind == "CDN"]
+            cdn_sids = [sid for sid, st in orch.slices.items() if st.spec.kind == "CDN"]
             target = orch.serving_node(cdn_sids[0]) if cdn_sids else p.attach_node
             pop = IpPopulation(net, host, p.region, p.content, p.content_id,
                                p.resolution, p.content_size, target,
@@ -183,12 +181,10 @@ def build_and_run(scenario: Scenario) -> SimRun:
     sampler = _Sampler(net, knobs.bucket_ms, samples, populations)
 
     def scale_tick(now):
-        for label, sid in list(slices.items()):
-            if sid not in orch.slices:
-                continue
-            req = orch.scale_check(sid, now)
-            if req is not None:
-                orch.handle_scale(req)
+        for sid in list(orch.slices):
+            inst = orch.scale_check(sid, now)
+            if inst is not None:
+                orch.handle_scale(sid, inst)
         if net.active() or any(not p.finished() for p in populations):
             net.schedule(now + knobs.scale_window_ms, scale_tick, real=False)
 

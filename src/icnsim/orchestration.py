@@ -9,7 +9,7 @@ slice rule, shared with the static scenario validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .gateway import EmptyCandidates, Gateway, OriginRef, select_gateway
 from .ndn import Name
@@ -177,35 +177,23 @@ def allocate_all(vims: dict[str, Vim], vnfs: list[VnfSpec]) -> list[Allocation]:
 
 @dataclass(slots=True)
 class VnfInstance:
-    id: int
-    role: str
-    domain: str
-    flavor: Flavor
-    node: str
+    """A running vnf: its spec, its quota grant and its host (``host.id``
+    names the instance)."""
+
+    spec: VnfSpec
     allocation: Allocation
     host: Host
-
-
-@dataclass(slots=True)
-class ScaleRequest:
-    slice_id: int
-    instance_id: int
-    role: str
-    domain: str
-    flavor: Flavor
 
 
 @dataclass(slots=True)
 class SliceState:
     id: int
     spec: SliceSpec
-    created_at: float
     instances: list[VnfInstance]
     origin: CdnOrigin | None = None
     gateway_node: str | None = None
     linked_cdn: int | None = None
     prefix: Name | None = None  # content prefix of the link, on the ICN slice
-    scale_count: int = 0
 
 
 class Orchestrator:
@@ -223,11 +211,11 @@ class Orchestrator:
         self.slices: dict[int, SliceState] = {}
         self._next_slice = 0
         self.log: list[str] = []
-        self._scale_marks: dict[int, tuple[float, float]] = {}  # instance -> (t, busy)
+        self._scale_marks: dict[str, tuple[float, float]] = {}  # node -> (t, busy)
 
     # -- slice lifecycle ----------------------------------------------------
 
-    def create_slice(self, spec: SliceSpec, now: float = 0.0) -> int:
+    def create_slice(self, spec: SliceSpec) -> int:
         """Allocate and instantiate a slice; all-or-nothing."""
         faults = slice_faults(spec, self.vims, self.net.all_hosts)
         if faults:
@@ -235,7 +223,7 @@ class Orchestrator:
         allocs = allocate_all(self.vims, spec.vnfs)
         sid = self._next_slice
         self._next_slice += 1
-        state = SliceState(sid, spec, now, [])
+        state = SliceState(sid, spec, [])
         if spec.kind == "CDN":
             state.origin = CdnOrigin(self.knobs.transcode_rate_bps)
         for v, alloc in zip(spec.vnfs, allocs):
@@ -258,7 +246,7 @@ class Orchestrator:
                     per_packet_cost_ms=k.per_packet_cost_ms,
                     origin_timeout_ms=k.origin_timeout_ms)
         self.net.add_host(host)
-        inst = VnfInstance(alloc.id, v.role, v.domain, v.flavor, v.node, alloc, host)
+        inst = VnfInstance(v, alloc, host)
         state.instances.append(inst)
         return inst
 
@@ -272,15 +260,8 @@ class Orchestrator:
         state = self._live(sid)
         del self.slices[sid]
         for inst in state.instances:
-            self.vims[inst.domain].release(inst.allocation)
-            self.net.remove_host(inst.node)
-
-    def expire_slices(self, now: float) -> list[int]:
-        expired = [sid for sid, s in self.slices.items()
-                   if s.created_at + s.spec.duration_ms <= now]
-        for sid in expired:
-            self.destroy_slice(sid)
-        return expired
+            self.vims[inst.allocation.domain].release(inst.allocation)
+            self.net.remove_host(inst.host.id)
 
     # -- content plane helpers ------------------------------------------------
 
@@ -307,7 +288,7 @@ class Orchestrator:
     def _transcode_host(self, state: SliceState) -> Host | None:
         for role in ("transcoder", "cache"):
             for inst in state.instances:
-                if inst.role == role:
+                if inst.spec.role == role:
                     return inst.host
         return None
 
@@ -316,8 +297,8 @@ class Orchestrator:
         state = self._live(sid)
         for role in ("streamer", "cache"):
             for inst in state.instances:
-                if inst.role == role and inst.host.origin is not None:
-                    return inst.node
+                if inst.spec.role == role and inst.host.origin is not None:
+                    return inst.host.id
         raise ValueError("slice %d has no serving node" % sid)
 
     # -- slice linking ----------------------------------------------------------
@@ -339,14 +320,14 @@ class Orchestrator:
         total = sum(c for _n, c in demand)
         triples = []
         for inst in cands:
-            to_cache = self.net.shortest_latency(inst.node, serve)
+            to_cache = self.net.shortest_latency(inst.host.id, serve)
             if total > 0:
                 to_demand = sum(
-                    c * self.net.shortest_latency(inst.node, n) for n, c in demand
+                    c * self.net.shortest_latency(inst.host.id, n) for n, c in demand
                 ) / total
             else:
                 to_demand = 0.0
-            triples.append((inst.node, to_cache, to_demand))
+            triples.append((inst.host.id, to_cache, to_demand))
         gw_node = select_gateway(triples, w)
         gw_host = self.net.hosts[gw_node]
         if not isinstance(gw_host.fwd, Gateway):
@@ -389,38 +370,42 @@ class Orchestrator:
 
     # -- scaling -------------------------------------------------------------------
 
-    def scale_check(self, sid: int, now: float) -> ScaleRequest | None:
-        """Report the first instance whose trailing-window cpu utilization
-        exceeds the threshold."""
+    def scale_check(self, sid: int, now: float) -> VnfInstance | None:
+        """The first instance whose trailing-window cpu utilization exceeds
+        the threshold."""
         state = self._live(sid)
         for inst in state.instances:
-            last_t, last_busy = self._scale_marks.get(inst.id, (0.0, 0.0))
+            last_t, last_busy = self._scale_marks.get(inst.host.id, (0.0, 0.0))
             span = now - last_t
             busy = inst.host.busy_ms_total
-            self._scale_marks[inst.id] = (now, busy)
+            self._scale_marks[inst.host.id] = (now, busy)
             if span <= 0:
                 continue
             util = (busy - last_busy) / span
             if util > self.knobs.scale_threshold:
-                return ScaleRequest(sid, inst.id, inst.role, inst.domain, inst.flavor)
+                return inst
         return None
 
-    def handle_scale(self, req: ScaleRequest) -> VnfInstance | None:
-        """Add one instance of the same role and flavor in the same domain."""
-        state = self._live(req.slice_id)
+    def handle_scale(self, sid: int, original: VnfInstance) -> VnfInstance | None:
+        """Add a clone of the instance, named by the first free ``<node>-s<k>``,
+        in the same domain."""
+        state = self._live(sid)
+        base = original.host.id
+        k = 1
+        while "%s-s%d" % (base, k) in self.net.all_hosts:
+            k += 1
+        node = "%s-s%d" % (base, k)
+        spec = replace(original.spec, node=node)
         try:
-            alloc = self.vims[req.domain].allocate(req.flavor)
+            alloc = self.vims[spec.domain].allocate(spec.flavor)
         except QuotaExceeded:
             self.log.append("scale denied: quota exceeded in %s for slice %d"
-                            % (req.domain, req.slice_id))
+                            % (spec.domain, sid))
             return None
-        original = next(i for i in state.instances if i.id == req.instance_id)
-        state.scale_count += 1
-        node = "%s-s%d" % (original.node, state.scale_count)
-        inst = self._instantiate(state, VnfSpec(req.role, req.domain, req.flavor, node), alloc)
+        inst = self._instantiate(state, spec, alloc)
         host = inst.host
         # Clone the original's adjacency, then advertise equal-cost next hops.
-        for peer, lat, mbps in self.net.links_of(original.node):
+        for peer, lat, mbps in self.net.links_of(base):
             self.net.add_link(node, peer, lat, mbps)
         if original.host.fwd is not None and host.fwd is not None:
             for e in original.host.fwd.fib_entries():
@@ -440,9 +425,9 @@ class Orchestrator:
                 continue
             for e in other.fwd.fib_entries():
                 for face, cost in list(e.next_hops):
-                    if other.faces.get(face) == original.node:
+                    if other.faces.get(face) == base:
                         other.fwd.fib_add_next_hop(e.prefix, to_new, cost)
-        self.log.append("scale out: slice %d added %s" % (req.slice_id, node))
+        self.log.append("scale out: slice %d added %s" % (sid, node))
         return inst
 
     # -- invariants -------------------------------------------------------------

@@ -156,6 +156,23 @@ def _want(diags, doc, key, types, path, default=None, required=False):
     return v
 
 
+def _objects(diags, doc, key, path):
+    """Yield (path, object) for each element of list field ``key``; a field
+    that is not a list, or an element that is not an object, gets a
+    ``bad-value`` diagnostic at its own path instead."""
+    fpath = "%s.%s" % (path, key) if path else key
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        diags.append(Diagnostic("bad-value", fpath, "field %r must be a list" % key))
+        return
+    for i, item in enumerate(items):
+        ipath = "%s.%d" % (fpath, i)
+        if isinstance(item, dict):
+            yield ipath, item
+        else:
+            diags.append(Diagnostic("bad-value", ipath, "%s element must be an object" % key))
+
+
 def _parse_flavor(diags, doc, path) -> Flavor | None:
     if not isinstance(doc, dict):
         diags.append(Diagnostic("bad-value", path, "flavor must be an object"))
@@ -230,8 +247,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
 
     domains: list[DomainSpec] = []
     seen_domains = set()
-    for i, d in enumerate(doc.get("domains", [])):
-        path = "domains.%d" % i
+    for path, d in _objects(diags, doc, "domains", ""):
         dname = _want(diags, d, "name", str, path, required=True)
         region = _want(diags, d, "region", str, path, default="")
         quota = _parse_flavor(diags, d.get("quota", {}), path + ".quota")
@@ -249,8 +265,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         topo = {}
     nodes: list[NodeDef] = []
     node_ids: set[str] = set()
-    for i, n in enumerate(topo.get("nodes", [])):
-        path = "topology.nodes.%d" % i
+    for path, n in _objects(diags, topo, "nodes", "topology"):
         nid = _want(diags, n, "id", str, path, required=True)
         cs = _want(diags, n, "cs_capacity_bytes", int, path, default=0)
         if nid is None:
@@ -263,8 +278,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
 
     contents: list[ContentDef] = []
     content_by_id: dict[str, ContentDef] = {}
-    for i, c in enumerate(doc.get("contents", [])):
-        path = "contents.%d" % i
+    for path, c in _objects(diags, doc, "contents", ""):
         cid = _want(diags, c, "content_id", str, path, required=True)
         size = _want(diags, c, "size_bytes", int, path, required=True)
         src = _want(diags, c, "source_resolution", str, path, required=True)
@@ -279,10 +293,9 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
             continue
         resolutions = []
         tags = {src}
-        for j, r in enumerate(c.get("resolutions", [])):
-            rpath = "%s.resolutions.%d" % (path, j)
+        for rpath, r in _objects(diags, c, "resolutions", path):
             tag = _want(diags, r, "tag", str, rpath, required=True)
-            scale = r.get("scale") if isinstance(r, dict) else None
+            scale = r.get("scale")
             if tag is None:
                 continue
             if tag in tags:
@@ -312,11 +325,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     produced: set[tuple[str, str]] = set()  # (content_id, resolution)
     seen_links: set[tuple[str, str]] = set()  # linked node pairs, (low, high)
     link_prefixes: list[Name] = []
-    for i, op in enumerate(doc.get("northbound", [])):
-        path = "northbound.%d" % i
-        if not isinstance(op, dict):
-            diags.append(Diagnostic("bad-value", path, "northbound op must be an object"))
-            continue
+    for path, op in _objects(diags, doc, "northbound", ""):
         kind = op.get("op")
         if kind not in NORTHBOUND_OPS:
             diags.append(Diagnostic("bad-value", path + ".op",
@@ -336,8 +345,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
             skind = "CDN" if kind == "create_cdn_slice" else "ICN"
             parsed = len(diags)
             vnfs: list[VnfSpec] = []
-            for j, v in enumerate(op.get("vnfs", [])):
-                vpath = "%s.vnfs.%d" % (path, j)
+            for vpath, v in _objects(diags, op, "vnfs", path):
                 role = _want(diags, v, "role", str, vpath, required=True)
                 dom = _want(diags, v, "domain", str, vpath, required=True)
                 nid = _want(diags, v, "node", str, vpath, required=True)
@@ -346,8 +354,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                 if None not in (role, dom, nid) and flavor is not None:
                     vnfs.append(VnfSpec(role, dom, flavor, nid, cs))
             links = []
-            for j, l in enumerate(op.get("links", [])):
-                lpath = "%s.links.%d" % (path, j)
+            for lpath, l in _objects(diags, op, "links", path):
                 a = _want(diags, l, "a", str, lpath, required=True)
                 b = _want(diags, l, "b", str, lpath, required=True)
                 lat = _want(diags, l, "latency_ms", (int, float), lpath, required=True)
@@ -425,8 +432,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         northbound.append(rec)
 
     links: list[LinkDef] = []
-    for i, l in enumerate(topo.get("links", [])):
-        path = "topology.links.%d" % i
+    for path, l in _objects(diags, topo, "links", "topology"):
         a = _want(diags, l, "a", str, path, required=True)
         b = _want(diags, l, "b", str, path, required=True)
         lat = _want(diags, l, "latency_ms", (int, float), path, required=True)
@@ -455,8 +461,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         links.append(LinkDef(a, b, float(lat), float(bw)))
 
     populations: list[PopulationDef] = []
-    for i, p in enumerate(doc.get("populations", [])):
-        path = "populations.%d" % i
+    for path, p in _objects(diags, doc, "populations", ""):
         region = _want(diags, p, "region", str, path, required=True)
         attach = _want(diags, p, "attach_node", str, path, required=True)
         count = _want(diags, p, "request_count", int, path, required=True)

@@ -489,14 +489,13 @@ class RequestRecord:
 
 
 class _Request:
-    __slots__ = ("rid", "t_issue", "next_seg", "pending", "got", "nbytes",
-                 "served_by", "done", "attempts")
+    __slots__ = ("rid", "t_issue", "next_seg", "got", "nbytes", "served_by", "done",
+                 "attempts")
 
     def __init__(self, rid: int, t_issue: float):
         self.rid = rid
         self.t_issue = t_issue
         self.next_seg = 0
-        self.pending: set[int] = set()
         self.got = 0
         self.nbytes = 0
         self.served_by = ""
@@ -616,10 +615,10 @@ class Population(_Consumers):
         self._advance(now, _Request(rid, now))
 
     def _advance(self, now: float, req: _Request):
-        while not req.done and len(req.pending) < self.window and req.next_seg < self.seg_count:
+        while (not req.done and req.next_seg - req.got < self.window
+               and req.next_seg < self.seg_count):
             seg = req.next_seg
             req.next_seg += 1
-            req.pending.add(seg)
             name = self._seg_name(seg)
             entry = self.outstanding.get(name)
             if entry is not None:
@@ -664,7 +663,6 @@ class Population(_Consumers):
         for req in entry.waiters:
             if req.done:
                 continue
-            req.pending.discard(seg)
             req.got += 1
             req.nbytes += size
             if seg == 0:

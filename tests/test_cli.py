@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from icnsim.cli import main
 from icnsim.metrics import (NODE_COUNTERS_HEADER, REQUESTS_HEADER,
                             TIMESERIES_HEADER)
@@ -32,6 +34,20 @@ def test_validate_broken_scenario(tmp_path, capsys):
     diag = json.loads(out.splitlines()[0])
     assert diag["code"] == "bad-reference"
     assert "topology.links.0" in diag["path"]
+
+
+@pytest.mark.parametrize("override", [
+    "domains.0=5", "domains=5", "topology.nodes.0=x", "topology.links.0=2",
+    "contents.0=7", "contents.0.resolutions.0=9", "northbound=4",
+    "northbound.0.vnfs=3", "northbound.0.vnfs.0=3", "populations.0=1"])
+def test_validate_non_list_or_non_object_exits_2(override, capsys):
+    # A list field that is not a list, or an element that is not an object,
+    # is a diagnostic at its own path, not a crash.
+    assert main(["validate", str(MINI), "--set", override]) == 2
+    diags = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    path = override.partition("=")[0]
+    assert {"code": "bad-value", "path": path} in [
+        {"code": d["code"], "path": d["path"]} for d in diags]
 
 
 def test_validate_untranscoded_variant_exits_2(capsys):

@@ -1,13 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from icnsim.gateway import Gateway
+from icnsim.harness import run_scenario
 from icnsim.ndn import Name
 from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator,
                                   QuotaExceeded, SliceSpec, UnknownSlice, Vim,
                                   VnfSpec)
 from icnsim.simnet import Network
+
+from conftest import MINI
 
 EU = DomainSpec("openstack-eu", "EU", Flavor(16, 32768, 500))
 JP = DomainSpec("openstack-jp", "JP", Flavor(8, 16384, 100))
@@ -144,12 +148,12 @@ def test_destroy_restores_quota_and_removes_nodes():
 
 
 def test_interests_after_expiry_drop_no_route():
-    net, orch = make_orch()
-    sid = orch.create_slice(table1_icn_spec(duration=60_000.0))
-    assert orch.expire_slices(59_999.0) == []
-    # A neighbor of the slice: the consumer edge keeps a face toward it.
-    assert orch.expire_slices(60_000.0) == [sid]
-    assert "ndn-jp" not in net.hosts
+    # mini's ICN slice (northbound.2) ends at 30 ms; requests go out every 10 ms.
+    run = run_scenario(MINI, None, ["northbound.2.duration_ms=30"])
+    status = {r.t_issue_ms: r.status for r in run.records}
+    assert status == {0.0: "ok", 10.0: "ok", 20.0: "ok",
+                      30.0: "failed", 40.0: "failed", 50.0: "failed"}
+    assert "edge" not in run.net.hosts
 
 
 def test_expiry_drops_traffic_toward_removed_nodes(rng):
@@ -266,8 +270,7 @@ def test_scale_check_threshold_rule():
     inst = orch.slices[sid].instances[0]
     assert orch.scale_check(sid, 10_000.0) is None  # 0 utilization
     inst.host.charge_ms(8100.0)
-    req = orch.scale_check(sid, 20_000.0)
-    assert req is not None and req.instance_id == inst.id
+    assert orch.scale_check(sid, 20_000.0) is inst
     inst.host.charge_ms(5000.0)  # 0.5 over the next window
     assert orch.scale_check(sid, 30_000.0) is None
 
@@ -279,12 +282,11 @@ def test_scale_out_adds_instance_and_equal_cost_hop():
     net.add_link("cdn", "ndn-gw", 5.0, 100.0)
     orch.upload(cdn, "v42", b"z", "1080p")
     orch.link_slices(cdn, icn, 1.0, [], Name.parse("/cdn"))
-    target = next(i for i in orch.slices[icn].instances if i.node == "ndn-eu")
+    target = next(i for i in orch.slices[icn].instances if i.host.id == "ndn-eu")
     target.host.charge_ms(9000.0)
-    req = orch.scale_check(icn, 10_000.0)
-    assert req is not None
-    inst = orch.handle_scale(req)
-    assert inst is not None and inst.node == "ndn-eu-s1"
+    assert orch.scale_check(icn, 10_000.0) is target
+    inst = orch.handle_scale(icn, target)
+    assert inst is not None and inst.host.id == "ndn-eu-s1"
     assert "ndn-eu-s1" in net.hosts
     assert net.has_link("ndn-eu-s1", "ndn-gw")
     # The clone inherited the content route.
@@ -298,11 +300,49 @@ def test_scale_denied_on_quota_is_logged_not_raised():
         VnfSpec("ndn-node", "tight", Flavor(2, 2048, 20), "n1")]))
     inst = orch.slices[sid].instances[0]
     inst.host.charge_ms(9999.0)
-    req = orch.scale_check(sid, 10_000.0)
-    assert req is not None
-    assert orch.handle_scale(req) is None
+    assert orch.scale_check(sid, 10_000.0) is inst
+    assert orch.handle_scale(sid, inst) is None
     assert any("scale denied" in line for line in orch.log)
     assert len(orch.slices[sid].instances) == 1
+
+
+def test_scale_check_tells_apart_instances_with_equal_allocation_ids():
+    # Each VIM numbers its allocations from 0, so both instances hold
+    # allocation 0; only the second one is loaded.
+    net, orch = make_orch()
+    sid = orch.create_slice(SliceSpec("ICN", 1000.0, [
+        VnfSpec("ndn-node", "openstack-eu", Flavor(1, 1024, 10), "n-eu"),
+        VnfSpec("ndn-node", "openstack-jp", Flavor(1, 1024, 10), "n-jp")]))
+    first, second = orch.slices[sid].instances
+    assert first.allocation.id == second.allocation.id == 0
+    assert orch.scale_check(sid, 10_000.0) is None
+    second.host.charge_ms(9000.0)
+    assert orch.scale_check(sid, 20_000.0) is second
+
+
+def test_scale_out_clone_copies_the_whole_spec():
+    net, orch = make_orch()
+    sid = orch.create_slice(SliceSpec("ICN", 1000.0, [
+        VnfSpec("ndn-node", "openstack-eu", Flavor(2, 2048, 20), "n1", cs_capacity_bytes=1024)]))
+    original = orch.slices[sid].instances[0]
+    clone = orch.handle_scale(sid, original)
+    assert clone.spec == dataclasses.replace(original.spec, node="n1-s1")
+    assert clone.host.fwd.cs.capacity == 1024
+
+
+def test_scale_out_skips_a_taken_clone_name():
+    net, orch = make_orch()
+    sid = orch.create_slice(SliceSpec("ICN", 1000.0, [
+        VnfSpec("ndn-node", "openstack-eu", Flavor(2, 2048, 20), "n1")]))
+    orch.create_slice(SliceSpec("ICN", 1000.0, [
+        VnfSpec("ndn-node", "openstack-jp", Flavor(2, 2048, 20), "n1-s1")]))
+    original = orch.slices[sid].instances[0]
+    clone = orch.handle_scale(sid, original)
+    assert clone.host.id == "n1-s2" and "n1-s2" in net.hosts
+    for name, vim in orch.vims.items():
+        held = [i for st in orch.slices.values() for i in st.instances
+                if i.allocation.domain == name]
+        assert len(vim.live) == len(held)
 
 
 # -- quota conservation property ------------------------------------------------------
