@@ -8,8 +8,7 @@ that reproduces the delivery-time, throughput, load and resource-usage
 measurements of the integrated architecture.
 """
 
-from .forwarder import (Counters, DuplicateFace, Forwarder, SendData, SendInterest,
-                        UnknownFace, UnknownPrefix)
+from .forwarder import Counters, DuplicateFace, Forwarder, UnknownFace, UnknownPrefix
 from .gateway import EmptyCandidates, Gateway, OriginRef, PendingFetch, select_gateway
 from .harness import SimRun, build_and_run, publish_bench, run_scenario
 from .ndn import (Data, Interest, MalformedPacket, MalformedUri, Name,

@@ -2,9 +2,9 @@
 
 A forwarder owns three tables (content store, pending interest table,
 forwarding information base) and processes one packet at a time. It
-returns the packets its host must send; a dropped packet returns none
-and is recorded once, in ``Counters.drop``. So a forwarder can be
-driven and tested without any network.
+returns the packets its host must send, as ``(face, packet)`` pairs; a
+dropped packet returns none and is recorded once, in ``Counters.drop``.
+So a forwarder can be driven and tested without any network.
 """
 
 from __future__ import annotations
@@ -35,19 +35,8 @@ class UnknownPrefix(LookupError):
     pass
 
 
-@dataclass(slots=True)
-class SendInterest:
-    face: int
-    interest: Interest
-
-
-@dataclass(slots=True)
-class SendData:
-    face: int
-    data: Data
-
-
-Action = SendInterest | SendData
+# A packet to send and the face to send it on.
+Action = tuple[int, Interest | Data]
 
 
 class Counters:
@@ -235,7 +224,8 @@ class Forwarder:
         return list(self._fib.values())
 
     def fib_longest_prefix_match(self, name: Name) -> FibEntry | None:
-        # Memoized per name; the memo is dropped on any FIB change.
+        # Memoized per name; the memo is dropped on any FIB change. The
+        # pipeline reads the memo itself and calls this on a miss.
         try:
             return self._lpm_cache[name]
         except KeyError:
@@ -257,15 +247,19 @@ class Forwarder:
         if not admitted:
             return []
         c = self.counters
-        data = self.cs.lookup(now, interest.name)
+        name = interest.name
+        data = self.cs.lookup(now, name)
         if data is not None:
             c.cs_hits += 1
-            return [SendData(face, data)]
+            return [(face, data)]
         c.cs_misses += 1
         if entry is not None:
             entry.faces[face] = interest.nonce
             return []
-        fe = self.fib_longest_prefix_match(interest.name)
+        try:
+            fe = self._lpm_cache[name]
+        except KeyError:
+            fe = self.fib_longest_prefix_match(name)
         hop = None
         if fe is not None:
             for f, _cost in fe.next_hops:
@@ -280,37 +274,31 @@ class Forwarder:
             c.drop(DROP_LOOP)
             return []
         self._pit_insert(now, face, interest)
-        return [SendInterest(hop, interest.decremented())]
+        return [(hop, interest.decremented())]
 
     def _admit(self, now: float, face: int,
                interest: Interest) -> tuple[bool, PitEntry | None]:
         """Face check and loop detection.
 
         Returns whether the interest is admitted, and the live PIT entry
-        of its name. An interest at hop limit 0, or whose nonce a live
-        entry holds on any face, loops and is dropped.
+        of its name. An entry read at or after its deadline has expired:
+        it is removed and counted as a timeout. An interest at hop limit
+        0, or whose nonce a live entry holds on any face, loops and is
+        dropped.
         """
         if face not in self.faces:
             raise UnknownFace(face)
-        entry = self._live_entry(now, interest.name, take=False)
+        name = interest.name
+        entry = self.pit.get(name)
+        if entry is not None and entry.deadline <= now:
+            del self.pit[name]
+            self.counters.pit_timeouts += 1
+            entry = None
         if interest.hop_limit == 0 or (entry is not None
                                        and interest.nonce in entry.faces.values()):
             self.counters.drop(DROP_LOOP)
             return False, None
         return True, entry
-
-    def _live_entry(self, now: float, name: Name, take: bool) -> PitEntry | None:
-        """The PIT entry of ``name``, or None; ``take`` also removes it from
-        the PIT. An entry read at or after its deadline has expired: it is
-        removed and counted as a timeout."""
-        pit = self.pit
-        entry = pit.pop(name, None) if take else pit.get(name)
-        if entry is not None and entry.deadline <= now:
-            if not take:
-                del pit[name]
-            self.counters.pit_timeouts += 1
-            return None
-        return entry
 
     def _pit_insert(self, now: float, face: int, interest: Interest):
         self.pit[interest.name] = PitEntry({face: interest.nonce},
@@ -322,12 +310,19 @@ class Forwarder:
         if not d.intact():
             self.counters.drop(DROP_INTEGRITY)
             return []
-        entry = self._live_entry(now, d.name, take=True)
-        if entry is None:
+        entry = self.pit.pop(d.name, None)
+        if entry is None or entry.deadline <= now:
+            # No entry, or one that expired, which counts as a timeout.
+            if entry is not None:
+                self.counters.pit_timeouts += 1
             self.counters.drop(DROP_UNSOLICITED)
             return []
         self.cs_insert(now, d)
-        return [SendData(f, d) for f in entry.faces if f != face]
+        out = []  # a loop, not a comprehension: one frame less per Data
+        for f in entry.faces:
+            if f != face:
+                out.append((f, d))
+        return out
 
     # -- table maintenance -------------------------------------------------
 
@@ -340,6 +335,8 @@ class Forwarder:
     def pit_expire(self, now: float) -> list[Name]:
         """Remove the entries past their deadline. Reads already treat them
         as absent, so this only reclaims memory."""
+        if not self.pit:
+            return []
         expired = [n for n, e in self.pit.items() if e.deadline <= now]
         for n in expired:
             del self.pit[n]

@@ -2,16 +2,17 @@
 
 An extended forwarder that owns one or more content prefixes, fetches
 whole content objects from an IP-side origin on the first request, and
-publishes them into the ICN slice chunk by chunk. Until it is configured
-with an origin it behaves exactly like a plain forwarder, which lets any
-node of an ICN slice be promoted to the gateway role.
+publishes them into the ICN slice chunk by chunk. Every ICN node is built
+as a plain forwarder; slice linking gives the gateway role to the one
+node it selects, with ``Gateway.take_over``. Until it is configured with
+an origin, a gateway behaves exactly like a plain forwarder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forwarder import DROP_NO_ROUTE, Action, Forwarder, SendData
+from .forwarder import DROP_NO_ROUTE, Action, Forwarder
 from .ndn import DEFAULT_CHUNK_SIZE, Data, Interest, Name, chunk_content
 from .origin import UnknownContent
 
@@ -22,7 +23,8 @@ class EmptyCandidates(ValueError):
 
 @dataclass(slots=True)
 class PendingFetch:
-    """Gateway action: start an origin fetch for one content object."""
+    """Gateway action: start an origin fetch for one content object. It is
+    returned paired with the face of the interest that asked for it."""
 
     content_id: str
     resolution: str
@@ -65,9 +67,20 @@ class Gateway(Forwarder):
         self.repo: dict[Name, Data] = {}
         self.repo_bytes = 0
         self.published: dict[Name, int] = {}   # base name -> segment count
-        self.pending: set[Name] = set()        # base names with a fetch under way
+        # Base names with a fetch under way. Membership tests only: a set
+        # of names iterates in address order.
+        self.pending: set[Name] = set()
         self.origin_ref: OriginRef | None = None
         self._base_for: dict[tuple[str, str], Name] = {}
+
+    @classmethod
+    def take_over(cls, fwd: Forwarder, chunk_size: int,
+                  publish_freshness_ms: int) -> "Gateway":
+        """A gateway with the faces, tables and counters of ``fwd``, which
+        its host then drops for it."""
+        gw = cls(0, chunk_size, publish_freshness_ms)
+        vars(gw).update(vars(fwd))
+        return gw
 
     def configure_origin(self, origin_ref: OriginRef):
         self.origin_ref = origin_ref
@@ -85,7 +98,7 @@ class Gateway(Forwarder):
         return base, m[0], m[1]
 
     def on_interest(self, now: float, face: int,
-                    interest: Interest) -> list[Action | PendingFetch]:
+                    interest: Interest) -> list[tuple[int, Data | PendingFetch]]:
         served = self._served_lookup(interest.name)
         if served is None:
             return super().on_interest(now, face, interest)
@@ -96,7 +109,7 @@ class Gateway(Forwarder):
         d = self.repo.get(interest.name)
         if d is not None:
             self.counters.cs_hits += 1
-            return [SendData(face, d)]
+            return [(face, d)]
         if base in self.published:
             # Published content cannot grow a segment; the request is bogus.
             self.counters.drop(DROP_NO_ROUTE)
@@ -109,7 +122,7 @@ class Gateway(Forwarder):
             # At most one concurrent origin fetch per content.
             return []
         self.pending.add(base)
-        return [PendingFetch(content_id, resolution, base)]
+        return [(face, PendingFetch(content_id, resolution, base))]
 
     def publish_content_to_icn(self, now: float, content_id: str, resolution: str,
                                payload: bytes) -> tuple[int, list[Action]]:
@@ -144,14 +157,15 @@ class Gateway(Forwarder):
         self.pending.discard(base)
         actions: list[Action] = []
         for name in [n for n in self.pit if base.is_prefix_of(n)]:
-            entry = self._live_entry(now, name, take=True)
-            if entry is None:
+            entry = self.pit.pop(name)
+            if entry.deadline <= now:
+                self.counters.pit_timeouts += 1
                 continue
             d = self.repo.get(name)
             if d is None:
                 self.counters.drop(DROP_NO_ROUTE)
             else:
-                actions.extend(SendData(f, d) for f in entry.faces)
+                actions.extend((f, d) for f in entry.faces)
         return actions
 
     def mem_model_bytes(self) -> int:

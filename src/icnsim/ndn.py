@@ -116,13 +116,23 @@ class Name:
     as ``"/"``. Segment components must have the exact canonical form
     ``seg=<decimal u32>`` with no leading zeros.
 
+    Names are interned: while a name is alive, every constructor returns
+    that one object for its components. So two names are equal exactly
+    when they are the same object, and dicts and sets keyed by names hash
+    and compare them by identity, in C. An identity hash follows the
+    object's address, so code must not let the iteration order of a set
+    of names reach an output.
+
     ``_wire_len`` is the encoded length of the name's TLV, header included.
     """
 
-    __slots__ = ("components", "_hash", "_wire_len", "__weakref__")
+    __slots__ = ("components", "_wire_len", "__weakref__")
 
-    def __init__(self, components: tuple[bytes, ...] | list[bytes] = ()):
+    def __new__(cls, components: tuple[bytes, ...] | list[bytes] = ()) -> "Name":
         comps = tuple(bytes(c) for c in components)
+        name = _NAMES.get(comps)
+        if name is not None:
+            return name
         if len(comps) > MAX_COMPONENTS:
             raise MalformedUri("more than %d components" % MAX_COMPONENTS)
         for c in comps:
@@ -134,18 +144,22 @@ class Name:
                 m = _SEG_RE.match(c)
                 if m is None or int(m.group(1)) > U32_MAX:
                     raise MalformedUri("non-canonical segment component %r" % c)
-        self.components = comps
-        self._hash = hash(comps)
-        self._wire_len = 5 + 5 * len(comps) + sum(map(len, comps))
+        return cls._unsafe(comps)
 
     @classmethod
     def _unsafe(cls, comps: tuple[bytes, ...]) -> "Name":
         # Internal fast path for components already validated.
-        n = object.__new__(cls)
-        n.components = comps
-        n._hash = hash(comps)
-        n._wire_len = 5 + 5 * len(comps) + sum(map(len, comps))
-        return n
+        name = _NAMES.get(comps)
+        if name is None:
+            name = object.__new__(cls)
+            name.components = comps
+            name._wire_len = 5 + 5 * len(comps) + sum(map(len, comps))
+            _NAMES[comps] = name
+        return name
+
+    def __reduce__(self):
+        # Copies and unpickled names are the interned object too.
+        return Name._unsafe, (self.components,)
 
     @classmethod
     def parse(cls, uri: str) -> "Name":
@@ -175,21 +189,12 @@ class Name:
         return Name(self.components + (component,))
 
     def segment(self, n: int) -> "Name":
-        """Return this name with a ``seg=<n>`` component appended.
-
-        While one segment name is alive, every call for it returns that
-        same object, so the tables keyed by segment names match their keys
-        by identity and never reach ``__eq__``.
-        """
+        """Return this name with a ``seg=<n>`` component appended."""
         if not 0 <= n <= U32_MAX:
             raise ValueError("segment number out of u32 range: %r" % n)
         if len(self.components) >= MAX_COMPONENTS:
             raise MalformedUri("cannot append segment to a full name")
-        comps = self.components + (b"seg=%d" % n,)
-        name = _SEGMENT_NAMES.get(comps)
-        if name is None:
-            name = _SEGMENT_NAMES[comps] = Name._unsafe(comps)
-        return name
+        return Name._unsafe(self.components + (b"seg=%d" % n,))
 
     def seg_number(self) -> int | None:
         """Segment number of the last component, or None."""
@@ -204,14 +209,8 @@ class Name:
     def __len__(self) -> int:
         return len(self.components)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Name) and self.components == other.components
-
     def __lt__(self, other: "Name") -> bool:
         return self.components < other.components
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return self.uri
@@ -220,11 +219,10 @@ class Name:
         return "Name(%r)" % self.uri
 
 
-# Live segment names by components. Names are immutable, so sharing one
-# object between callers changes nothing but the identity; the table
-# holds a name only while something else does.
-_SEGMENT_NAMES: weakref.WeakValueDictionary[tuple[bytes, ...], Name] = (
-    weakref.WeakValueDictionary())
+# Live names by components. Names are immutable, so sharing one object
+# between callers changes nothing but the identity; the table holds a
+# name only while something else does.
+_NAMES: weakref.WeakValueDictionary[tuple[bytes, ...], Name] = weakref.WeakValueDictionary()
 
 
 @dataclass(slots=True)
@@ -262,7 +260,8 @@ class Interest:
 class Data:
     """Response packet carrying one named, digest-protected payload chunk.
 
-    Immutable, so ``intact()`` hashes the payload at most once per object.
+    Immutable, so ``intact()`` hashes the payload at most once per object,
+    and ``wire_len``, its encoded length, is computed once when it is built.
     """
 
     name: Name
@@ -270,6 +269,7 @@ class Data:
     digest: bytes
     freshness_ms: int = 0
     final_segment: int | None = None
+    wire_len: int = field(init=False, repr=False, compare=False)
     _intact: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -279,6 +279,7 @@ class Data:
             raise ValueError("freshness out of u32 range")
         if self.final_segment is not None and not 0 <= self.final_segment <= U32_MAX:
             raise ValueError("final segment out of u32 range")
+        object.__setattr__(self, "wire_len", data_wire_len(self))
 
     def intact(self) -> bool:
         """True if the payload hashes to the digest; hashed on first call only."""
@@ -335,13 +336,19 @@ def hash_stream(key: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+# Encoded interest bytes besides its name: the outer TLV header and the
+# nonce, lifetime and hop-limit TLVs.
+INTEREST_FIELDS_LEN = 5 + 13 + 9 + 6
+
+
 def interest_wire_len(i: Interest) -> int:
     """Encoded byte length of an interest, without building the bytes."""
-    return 5 + i.name._wire_len + 13 + 9 + 6
+    return i.name._wire_len + INTEREST_FIELDS_LEN
 
 
 def data_wire_len(d: Data) -> int:
-    """Encoded byte length of a data packet, without building the bytes."""
+    """Encoded byte length of a data packet, without building the bytes;
+    ``Data.wire_len`` holds it."""
     n = 5 + d.name._wire_len + (5 + len(d.payload)) + 37 + 9
     if d.final_segment is not None:
         n += 9

@@ -2,7 +2,7 @@
 
 The orchestrator owns per-domain VIMs (quota accountants), creates and
 destroys CDN/ICN slices atomically, links a CDN slice to an ICN slice by
-selecting and configuring the NDN gateway, and applies a threshold
+selecting one NDN node and giving it the gateway role, and applies a threshold
 scale-out policy from VNF usage reports. ``slice_faults`` holds every
 slice rule, shared with the static scenario validator.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .forwarder import Forwarder
 from .gateway import EmptyCandidates, Gateway, OriginRef, select_gateway
 from .ndn import Name
 from .origin import CdnOrigin, ResolutionProfile
@@ -239,7 +240,7 @@ class Orchestrator:
         fwd = origin = None
         if state.spec.kind == "ICN" and self.mode != "cdn-only":
             cs = v.cs_capacity_bytes if v.cs_capacity_bytes is not None else k.cs_capacity_bytes
-            fwd = Gateway(cs, k.chunk_size, k.publish_freshness_ms)
+            fwd = Forwarder(cs)
         elif v.role in ("cache", "streamer"):
             origin = state.origin
         host = Host(self.net, v.node, v.role, fwd=fwd, origin=origin, vcpus=v.flavor.vcpus,
@@ -305,7 +306,8 @@ class Orchestrator:
 
     def link_slices(self, cdn_sid: int, icn_sid: int, w: float,
                     demand: list[tuple[str, int]], prefix: Name) -> str:
-        """Select the gateway, configure it, install routes toward it.
+        """Select the gateway, give it the gateway role, configure it and
+        install routes toward it.
 
         ``demand`` pairs consumer attach nodes with request counts; the
         demand latency of a candidate is the count-weighted mean of its
@@ -331,7 +333,8 @@ class Orchestrator:
         gw_node = select_gateway(triples, w)
         gw_host = self.net.hosts[gw_node]
         if not isinstance(gw_host.fwd, Gateway):
-            raise ValueError("node %r cannot take the gateway role" % gw_node)
+            gw_host.fwd = Gateway.take_over(gw_host.fwd, self.knobs.chunk_size,
+                                            self.knobs.publish_freshness_ms)
         icn.gateway_node = gw_node
         icn.linked_cdn = cdn_sid
         icn.prefix = prefix

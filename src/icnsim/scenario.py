@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .ndn import MalformedUri, Name
+from .ndn import U32_MAX, MalformedUri, Name
 from .orchestration import (DomainSpec, Flavor, Knobs, QuotaExceeded, SliceSpec,
                             Vim, VnfSpec, allocate_all, slice_faults)
 
@@ -244,6 +244,13 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     if not 0.0 <= knobs.gateway_weight <= 1.0:
         diags.append(Diagnostic("bad-value", "knobs.gateway_weight",
                                 "gateway_weight must be in [0, 1]"))
+    if not 0 <= knobs.interest_lifetime_ms <= U32_MAX:
+        diags.append(Diagnostic("bad-value", "knobs.interest_lifetime_ms",
+                                "interest_lifetime_ms must be in [0, %d]" % U32_MAX))
+    for k in ("bucket_ms", "scale_window_ms"):
+        # A housekeeping tick of period 0 would reschedule itself forever.
+        if getattr(knobs, k) <= 0:
+            diags.append(Diagnostic("bad-value", "knobs.%s" % k, "%s must be > 0" % k))
 
     domains: list[DomainSpec] = []
     seen_domains = set()

@@ -2,11 +2,12 @@
 
 Nodes, point-to-point links with latency and per-direction FIFO
 bandwidth serialization, a global virtual clock in float milliseconds,
-consumer request generators, and the host wrapper that turns forwarder
-actions into wire traffic. Everything is single-threaded and fully
-deterministic: events execute in (time, seq) order with seq assigned at
-scheduling. The heap holds ``(time, seq, Event)`` tuples: seq is unique,
-so heap order is a tuple comparison in C that never reaches the Event.
+consumer request generators, and the host wrapper that turns the
+forwarder's ``(face, packet)`` pairs into wire traffic. Everything is
+single-threaded and fully deterministic: events execute in (time, seq)
+order with seq assigned at scheduling. The heap holds ``(time, seq,
+Event)`` tuples: seq is unique, so heap order is a tuple comparison in C
+that never reaches the Event.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .forwarder import (DROP_NO_ROUTE, Counters, Forwarder, SendData,
-                        SendInterest)
+from .forwarder import DROP_NO_ROUTE, Counters, Forwarder
 from .gateway import Gateway, PendingFetch
-from .ndn import (Data, Interest, Name, compute_digest, data_wire_len,
-                  interest_wire_len)
+from .ndn import (DEFAULT_HOP_LIMIT, INTEREST_FIELDS_LEN, U32_MAX, Data, Interest,
+                  Name, compute_digest)
 from .origin import CdnOrigin, UnknownContent
 
 IP_REQUEST_BYTES = 512
@@ -32,12 +32,9 @@ class HorizonExceeded(RuntimeError):
 
 
 class Event:
-    __slots__ = ("fn", "real", "cancelled")
+    """A scheduled call; ``Network.schedule`` is its one constructor."""
 
-    def __init__(self, fn, real: bool):
-        self.fn = fn
-        self.real = real
-        self.cancelled = False
+    __slots__ = ("fn", "real", "cancelled")
 
 
 class _LinkDir:
@@ -121,7 +118,10 @@ class Network:
     def schedule(self, at: float, fn, real: bool = True) -> Event:
         if at < self.now:
             at = self.now
-        ev = Event(fn, real)
+        ev = object.__new__(Event)
+        ev.fn = fn
+        ev.real = real
+        ev.cancelled = False
         heapq.heappush(self._heap, (at, self._seq, ev))
         self._seq += 1
         if real:
@@ -380,22 +380,25 @@ class Host:
         self._emit(self.fwd.on_interest(self.net.now, face, interest), self.id)
 
     def _emit(self, actions, served_by: str):
-        now = self.net.now
-        for a in actions:
-            t = type(a)
-            if t is SendData:
-                cb = self.apps.get(a.face)
+        """Send each ``(face, packet)`` pair, or hand a Data to the app on
+        its face; a PendingFetch starts an origin fetch."""
+        for face, p in actions:
+            t = type(p)
+            if t is Data:
+                cb = self.apps.get(face)
                 if cb is not None:
-                    cb(now, a.data, served_by)
+                    cb(self.net.now, p, served_by)
                 else:
-                    self.net.send(self.id, self.faces[a.face],
-                                  data_wire_len(a.data), WireData(a.data, served_by))
-            elif t is SendInterest:
-                peer = self.faces.get(a.face)
+                    wire = object.__new__(WireData)
+                    wire.data = p
+                    wire.served_by = served_by
+                    self.net.send(self.id, self.faces[face], p.wire_len, wire)
+            elif t is Interest:
+                peer = self.faces.get(face)
                 if peer is not None:
-                    self.net.send(self.id, peer, interest_wire_len(a.interest), a.interest)
+                    self.net.send(self.id, peer, p.name._wire_len + INTEREST_FIELDS_LEN, p)
             else:
-                self._start_fetch(now, a)
+                self._start_fetch(self.net.now, p)
 
     # -- IP side ---------------------------------------------------------------
 
@@ -588,6 +591,8 @@ class Population(_Consumers):
                  lifetime_ms: int = 4000, max_attempts: int = 5):
         super().__init__(net, host, region, content, resolution, request_count,
                          pattern, rng, records, rid_counter)
+        if not 0 <= lifetime_ms <= U32_MAX:
+            raise ValueError("lifetime out of u32 range")
         self.seg_count = seg_count
         self.retransmit_ms = retransmit_ms
         self.window = window
@@ -598,15 +603,7 @@ class Population(_Consumers):
         self._inbox: deque = deque()
         self._draining = False
         self._watchdog_on = False
-        # Shared per-population segment names: every request reuses the
-        # same Name objects, so hashes are computed once.
-        self._seg_names: list[Name] = []
-
-    def _seg_name(self, seg: int) -> Name:
-        names = self._seg_names
-        while len(names) <= seg:
-            names.append(self.content.segment(len(names)))
-        return names[seg]
+        self._seg_names = [content.segment(i) for i in range(seg_count)]
 
     # -- request lifecycle ------------------------------------------------------
 
@@ -619,7 +616,7 @@ class Population(_Consumers):
                and req.next_seg < self.seg_count):
             seg = req.next_seg
             req.next_seg += 1
-            name = self._seg_name(seg)
+            name = self._seg_names[seg]
             entry = self.outstanding.get(name)
             if entry is not None:
                 entry.waiters.append(req)
@@ -628,7 +625,13 @@ class Population(_Consumers):
                 self._issue_interest(name)
 
     def _issue_interest(self, name: Name):
-        interest = Interest(name, self.rng.getrandbits(64), self.lifetime_ms)
+        # Built without __init__: a 64-bit nonce, a lifetime checked when
+        # the population was made and the default hop limit are all valid.
+        interest = object.__new__(Interest)
+        interest.name = name
+        interest.nonce = self.rng.getrandbits(64)
+        interest.lifetime_ms = self.lifetime_ms
+        interest.hop_limit = DEFAULT_HOP_LIMIT
         self.host.inject_interest(self.app_face, interest)
 
     def _end(self, now: float, req: _Request, status: str):
@@ -639,38 +642,39 @@ class Population(_Consumers):
     # -- data arrival -------------------------------------------------------------
 
     def _app_cb(self, now: float, data: Data, served_by: str):
-        self._inbox.append((now, data, served_by))
+        """Take one Data. A Data handed over while an earlier one is being
+        processed (an interest it issues can hit the local content store)
+        waits in the inbox, so Data are processed one at a time, in order."""
+        inbox = self._inbox
+        inbox.append((now, data, served_by))
         if self._draining:
             return
         self._draining = True
         try:
-            while self._inbox:
-                t, d, s = self._inbox.popleft()
-                self._process_data(t, d, s)
+            while inbox:
+                now, data, served_by = inbox.popleft()
+                if not data.intact() or data.final_segment != self.seg_count - 1:
+                    # Should have been dropped upstream. Treat it as a loss: the
+                    # entry stays and the watchdog retransmits it under max_attempts.
+                    continue
+                entry = self.outstanding.pop(data.name, None)
+                if entry is None:
+                    continue  # late duplicate
+                seg = entry.seg
+                size = len(data.payload)
+                for req in entry.waiters:
+                    if req.done:
+                        continue
+                    req.got += 1
+                    req.nbytes += size
+                    if seg == 0:
+                        req.served_by = served_by
+                    if req.got == self.seg_count:
+                        self._end(now, req, "ok")
+                    else:
+                        self._advance(now, req)
         finally:
             self._draining = False
-
-    def _process_data(self, now: float, data: Data, served_by: str):
-        if not data.intact() or data.final_segment != self.seg_count - 1:
-            # Should have been dropped upstream. Treat it as a loss: the entry
-            # stays and the watchdog retransmits it under max_attempts.
-            return
-        entry = self.outstanding.pop(data.name, None)
-        if entry is None:
-            return  # late duplicate
-        seg = entry.seg
-        size = len(data.payload)
-        for req in entry.waiters:
-            if req.done:
-                continue
-            req.got += 1
-            req.nbytes += size
-            if seg == 0:
-                req.served_by = served_by
-            if req.got == self.seg_count:
-                self._end(now, req, "ok")
-            else:
-                self._advance(now, req)
 
     # -- retransmission -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ import pytest
 from icnsim.forwarder import Forwarder
 from icnsim.harness import publish_bench, run_scenario
 from icnsim.metrics import region_stats
-from icnsim.ndn import (Interest, Name, chunk_content, data_wire_len,
+from icnsim.ndn import (Data, Interest, Name, chunk_content, data_wire_len,
                         interest_wire_len, make_data)
 from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator, QuotaExceeded,
                                   SliceSpec, VnfSpec)
@@ -69,12 +69,12 @@ def test_criterion_2_aggregation_exhaustive():
         upstream_sends = 0
         for i in range(k):
             f.register_face(i)
-            for a in f.on_interest(0.0, i, Interest(name, nonce=i + 1)):
-                upstream_sends += type(a).__name__ == "SendInterest"
+            for _face, p in f.on_interest(0.0, i, Interest(name, nonce=i + 1)):
+                upstream_sends += type(p) is Interest
         assert upstream_sends == 1, k
         acts = f.on_data(1.0, upstream, make_data(name, b"p", 10_000, 0))
-        downstream = [a for a in acts if type(a).__name__ == "SendData"]
-        assert len(downstream) == k and len({a.face for a in downstream}) == k
+        downstream = [face for face, p in acts if type(p) is Data]
+        assert len(downstream) == k and len(set(downstream)) == k
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     _passed(2, "k=2..64 bursts: 1 upstream interest, k data sends (%.2f s)" % elapsed)

@@ -50,6 +50,30 @@ def test_validate_non_list_or_non_object_exits_2(override, capsys):
         {"code": d["code"], "path": d["path"]} for d in diags]
 
 
+@pytest.mark.parametrize("override", [
+    "knobs.interest_lifetime_ms=-1", "knobs.interest_lifetime_ms=4294967296",
+    "knobs.bucket_ms=0", "knobs.bucket_ms=-5", "knobs.scale_window_ms=0",
+    "knobs.scale_window_ms=-1"])
+def test_validate_knob_out_of_range_exits_2(override, tmp_path, capsys):
+    # Each of these used to validate, and then the run failed (lifetime)
+    # or never ended (a housekeeping period of 0 or less).
+    assert main(["validate", str(MINI), "--set", override]) == 2
+    diags = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    path = override.partition("=")[0]
+    assert [(d["code"], d["path"]) for d in diags] == [("bad-value", path)]
+    out = tmp_path / "out"
+    assert main(["run", str(MINI), "--out", str(out), "--set", override]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    "knobs.interest_lifetime_ms=0", "knobs.interest_lifetime_ms=4294967295",
+    "knobs.bucket_ms=0.5", "knobs.scale_window_ms=1"])
+def test_validate_knob_at_range_edge_exits_0(override, capsys):
+    assert main(["validate", str(MINI), "--set", override]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_validate_untranscoded_variant_exits_2(capsys):
     # 360p is declared for the content but no transcode op produces it.
     assert main(["validate", str(MINI), "--set",

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from icnsim.forwarder import (DROP_INTEGRITY, DROP_LOOP, DROP_NO_ROUTE,
                               DROP_UNSOLICITED, ContentStore, DuplicateFace,
-                              Forwarder, SendData, SendInterest, UnknownFace,
-                              UnknownPrefix)
+                              Forwarder, UnknownFace, UnknownPrefix)
 from icnsim.ndn import Data, Interest, Name, make_data
 
 V0 = Name.parse("/v/seg=0")
@@ -26,8 +25,8 @@ def test_cs_hit_answers_without_pit():
     f = node()
     f.cs_insert(0.0, make_data(V0, b"p" * 10, FRESH, 0))
     acts = f.on_interest(1.0, 1, Interest(V0, nonce=1))
-    assert len(acts) == 1 and isinstance(acts[0], SendData)
-    assert acts[0].face == 1
+    assert len(acts) == 1 and type(acts[0][1]) is Data
+    assert acts[0][0] == 1
     assert V0 not in f.pit
     assert f.counters.cs_hits == 1
 
@@ -36,7 +35,7 @@ def test_aggregation_same_name_new_face():
     f = node()
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     first = f.on_interest(0.0, 1, Interest(V0, nonce=1))
-    assert [type(a) for a in first] == [SendInterest]
+    assert [type(p) for _face, p in first] == [Interest]
     second = f.on_interest(0.5, 2, Interest(V0, nonce=2))
     assert second == []
     assert set(f.pit[V0].faces) == {1, 2}
@@ -47,9 +46,9 @@ def test_forwarding_decrements_hop_and_creates_pit():
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     acts = f.on_interest(0.0, 1, Interest(Name.parse("/v/seg=3"), nonce=7, hop_limit=32))
     assert len(acts) == 1
-    a = acts[0]
-    assert isinstance(a, SendInterest) and a.face == 9
-    assert a.interest.hop_limit == 31
+    face, interest = acts[0]
+    assert type(interest) is Interest and face == 9
+    assert interest.hop_limit == 31
     assert Name.parse("/v/seg=3") in f.pit
 
 
@@ -76,7 +75,7 @@ def test_hop_limit_one_cannot_be_forwarded_but_cs_still_answers():
     assert f.counters.drops == {DROP_LOOP: 1}
     f.cs_insert(0.0, make_data(V0, b"x", FRESH, 0))
     acts = f.on_interest(1.0, 1, Interest(V0, nonce=2, hop_limit=1))
-    assert isinstance(acts[0], SendData)
+    assert type(acts[0][1]) is Data
 
 
 def test_no_route_drop():
@@ -91,7 +90,7 @@ def test_arrival_face_excluded_from_next_hops():
     f = node()
     f.fib_insert(Name.parse("/v"), [(1, 1), (2, 5)])
     acts = f.on_interest(0.0, 1, Interest(V0, nonce=1))
-    assert isinstance(acts[0], SendInterest) and acts[0].face == 2
+    assert type(acts[0][1]) is Interest and acts[0][0] == 2
     # Only hop is the arrival face: no route.
     f2 = node()
     f2.fib_insert(Name.parse("/v"), [(1, 1)])
@@ -103,7 +102,7 @@ def test_lowest_cost_then_lowest_face():
     f = node(faces=(1, 2, 3, 9))
     f.fib_insert(Name.parse("/v"), [(9, 3), (3, 2), (2, 2)])
     acts = f.on_interest(0.0, 1, Interest(V0, nonce=1))
-    assert acts[0].face == 2
+    assert acts[0][0] == 2
 
 
 def test_data_fans_out_to_all_infaces_and_consumes_pit():
@@ -113,7 +112,7 @@ def test_data_fans_out_to_all_infaces_and_consumes_pit():
     f.on_interest(0.1, 2, Interest(V0, nonce=2))
     d = make_data(V0, b"pay", FRESH, 0)
     acts = f.on_data(1.0, 9, d)
-    assert [(a.face, a.data) for a in acts] == [(1, d), (2, d)]
+    assert acts == [(1, d), (2, d)]
     assert V0 not in f.pit
     assert f.cs.lookup(1.0, V0) is d
 
@@ -155,12 +154,12 @@ def test_integrity_drop_then_intact_data_of_same_name_accepted():
     f.on_interest(0.0, 1, Interest(V0, nonce=1))
     assert f.on_data(1.0, 9, Data(V0, b"corrupted", good.digest, FRESH, 0)) == []
     assert f.counters.drops == {DROP_INTEGRITY: 1}
-    assert f.on_data(2.0, 9, good) == [SendData(1, good)]
+    assert f.on_data(2.0, 9, good) == [(1, good)]
     assert V0 not in f.pit
     f.on_interest(3.0, 2, Interest(V0, nonce=2))
     assert f.on_data(4.0, 9, dataclasses.replace(good, payload=b"payloaD")) == []
     assert f.counters.drops == {DROP_INTEGRITY: 2}
-    assert f.on_data(5.0, 9, good) == [SendData(2, good)]
+    assert f.on_data(5.0, 9, good) == [(2, good)]
 
 
 def test_same_face_duplicates_collapse_to_one_send():
@@ -169,7 +168,7 @@ def test_same_face_duplicates_collapse_to_one_send():
     f.on_interest(0.0, 1, Interest(V0, nonce=1))
     f.on_interest(0.1, 1, Interest(V0, nonce=2))
     acts = f.on_data(1.0, 9, make_data(V0, b"p", FRESH, 0))
-    assert len(acts) == 1 and acts[0].face == 1
+    assert len(acts) == 1 and acts[0][0] == 1
 
 
 def test_aggregation_bound_burst():
@@ -184,9 +183,9 @@ def test_aggregation_bound_burst():
         sends = []
         for i in range(k):
             sends += f.on_interest(0.0, i, Interest(V0, nonce=i + 1))
-        assert sum(isinstance(a, SendInterest) for a in sends) == 1
+        assert sum(type(p) is Interest for _face, p in sends) == 1
         acts = f.on_data(1.0, upstream, make_data(V0, b"p", FRESH, 0))
-        assert sum(isinstance(a, SendData) for a in acts) == k
+        assert sum(type(p) is Data for _face, p in acts) == k
 
 
 # -- content store -----------------------------------------------------------
@@ -425,13 +424,25 @@ def test_pit_expiry_boundary_closed():
     assert f.counters.pit_timeouts == 1
 
 
+def test_pit_expire_on_empty_pit_returns_nothing_and_counts_nothing():
+    f = node()
+    assert f.pit_expire(10.0) == []
+    assert f.counters.pit_timeouts == 0
+    f.fib_insert(Name.parse("/v"), [(9, 1)])
+    f.on_interest(0.0, 1, Interest(V0, nonce=1, lifetime_ms=5))
+    assert f.on_data(1.0, 9, make_data(V0, b"p", FRESH, 0)) == [(1, make_data(V0, b"p", FRESH, 0))]
+    assert not f.pit
+    assert f.pit_expire(10.0) == []
+    assert f.counters.pit_timeouts == 0
+
+
 def test_expiry_then_rearrival_forwards_again():
     f = node()
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     f.on_interest(0.0, 1, Interest(V0, nonce=1, lifetime_ms=4000))
     f.pit_expire(4000.0)
     acts = f.on_interest(4500.0, 1, Interest(V0, nonce=2, lifetime_ms=4000))
-    assert [type(a) for a in acts] == [SendInterest]
+    assert [type(p) for _face, p in acts] == [Interest]
 
 
 # No test below sweeps: an entry must expire at its deadline when it is read.
@@ -442,7 +453,7 @@ def test_expired_entry_is_not_used_without_a_sweep():
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     f.on_interest(0.0, 1, Interest(V0, nonce=1, lifetime_ms=100))
     fresh = Interest(V0, nonce=2, lifetime_ms=100)
-    assert f.on_interest(5000.0, 2, fresh) == [SendInterest(9, fresh.decremented())]
+    assert f.on_interest(5000.0, 2, fresh) == [(9, fresh.decremented())]
     assert f.counters.pit_timeouts == 1
     assert f.counters.drops == {}
     assert f.pit[V0].faces == {2: 2}
@@ -465,8 +476,8 @@ def test_nonce_of_satisfied_entry_is_answered_from_store():
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     d = make_data(V0, b"p", FRESH, 0)
     f.on_interest(0.0, 1, Interest(V0, nonce=5))
-    assert f.on_data(1.0, 9, d) == [SendData(1, d)]
-    assert f.on_interest(2.0, 2, Interest(V0, nonce=5)) == [SendData(2, d)]
+    assert f.on_data(1.0, 9, d) == [(1, d)]
+    assert f.on_interest(2.0, 2, Interest(V0, nonce=5)) == [(2, d)]
     assert f.counters.drops == {}
     assert f.counters.cs_hits == 1
 

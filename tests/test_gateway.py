@@ -1,9 +1,9 @@
 import pytest
 
-from icnsim.forwarder import DROP_LOOP, DROP_NO_ROUTE, SendData, SendInterest
+from icnsim.forwarder import DROP_LOOP, DROP_NO_ROUTE, Forwarder
 from icnsim.gateway import (EmptyCandidates, Gateway, OriginRef, PendingFetch,
                             select_gateway)
-from icnsim.ndn import Interest, Name, hash_stream
+from icnsim.ndn import Data, Interest, Name, hash_stream
 
 BASE = Name.parse("/cdn/s1/v42/720p")
 
@@ -19,7 +19,7 @@ def gw(chunk=8192):
 def test_first_interest_triggers_single_fetch():
     g = gw()
     acts = g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=1))
-    assert acts == [PendingFetch("v42", "720p", BASE)]
+    assert acts == [(1, PendingFetch("v42", "720p", BASE))]
     assert BASE in g.pending
     # Aggregation on the same segment: no data, no second fetch.
     assert g.on_interest(0.1, 2, Interest(BASE.segment(0), nonce=2)) == []
@@ -35,7 +35,7 @@ def test_publish_answers_pending_and_is_idempotent():
     payload = hash_stream(b"content", 2_097_152)
     count, acts = g.publish_content_to_icn(5.0, "v42", "720p", payload)
     assert count == 256
-    sends = [(a.face, a.data.name.seg_number()) for a in acts if isinstance(a, SendData)]
+    sends = [(face, p.name.seg_number()) for face, p in acts if type(p) is Data]
     assert sorted(sends) == [(1, 0), (1, 1), (2, 0)]
     assert not g.pending and not g.pit
     count2, acts2 = g.publish_content_to_icn(6.0, "v42", "720p", payload)
@@ -47,8 +47,8 @@ def test_repo_hit_after_publish():
     g = gw()
     g.publish_content_to_icn(0.0, "v42", "720p", b"x" * 100)
     acts = g.on_interest(1.0, 1, Interest(BASE.segment(0), nonce=1))
-    assert len(acts) == 1 and isinstance(acts[0], SendData)
-    assert acts[0].data.payload == b"x" * 100
+    assert len(acts) == 1 and type(acts[0][1]) is Data
+    assert acts[0][1].payload == b"x" * 100
 
 
 def test_publish_single_byte_payload():
@@ -78,7 +78,7 @@ def test_unserved_names_use_normal_pipeline():
     g = gw()
     g.fib_insert(Name.parse("/other"), [(9, 1)])
     acts = g.on_interest(0.0, 1, Interest(Name.parse("/other/name"), nonce=1))
-    assert len(acts) == 1 and isinstance(acts[0], SendInterest) and acts[0].face == 9
+    assert len(acts) == 1 and type(acts[0][1]) is Interest and acts[0][0] == 9
 
 
 def test_loop_suppression_applies_to_served_names():
@@ -98,7 +98,7 @@ def test_fetch_failed_drops_waiters():
     assert not g.pit and BASE not in g.pending
     # A later interest may retry the fetch.
     acts = g.on_interest(40.0, 1, Interest(BASE.segment(0), nonce=3))
-    assert acts == [PendingFetch("v42", "720p", BASE)]
+    assert acts == [(1, PendingFetch("v42", "720p", BASE))]
 
 
 def test_publish_skips_waiters_whose_entries_expired():
@@ -107,7 +107,7 @@ def test_publish_skips_waiters_whose_entries_expired():
     g.on_interest(50.0, 2, Interest(BASE.segment(1), nonce=2, lifetime_ms=100))
     count, acts = g.publish_content_to_icn(120.0, "v42", "720p", b"x" * 10000)
     assert count == 2
-    assert acts == [SendData(2, g.repo[BASE.segment(1)])]
+    assert acts == [(2, g.repo[BASE.segment(1)])]
     assert g.counters.pit_timeouts == 1
     assert g.counters.drops == {} and not g.pit
 
@@ -116,8 +116,9 @@ def test_origin_once_under_interleaving():
     g = gw()
     fetches = 0
     for i in range(50):
-        for a in g.on_interest(i * 0.01, 1 + (i % 2), Interest(BASE.segment(i % 8), nonce=100 + i)):
-            if isinstance(a, PendingFetch):
+        for _face, p in g.on_interest(i * 0.01, 1 + (i % 2),
+                                      Interest(BASE.segment(i % 8), nonce=100 + i)):
+            if isinstance(p, PendingFetch):
                 fetches += 1
     assert fetches == 1
 
@@ -155,3 +156,22 @@ def test_select_gateway_errors():
         select_gateway([], 0.5)
     with pytest.raises(ValueError):
         select_gateway([("a", 1.0, 1.0)], 1.5)
+
+
+def test_take_over_keeps_the_forwarders_faces_tables_and_counters():
+    f = Forwarder(1 << 20)
+    for face in (1, 9):
+        f.register_face(face)
+    f.fib_insert(Name.parse("/other"), [(9, 1)])
+    other = Interest(Name.parse("/other/x"), nonce=1)
+    assert f.on_interest(0.0, 1, other) == [(9, other.decremented())]
+    g = Gateway.take_over(f, chunk_size=100, publish_freshness_ms=5)
+    for attr in ("faces", "cs", "pit", "_fib", "_lpm_cache", "counters"):
+        assert getattr(g, attr) is getattr(f, attr), attr
+    assert (g.chunk_size, g.publish_freshness_ms, g.origin_ref) == (100, 5, None)
+    g.configure_origin(OriginRef("origin", {BASE: ("v42", "720p")}))
+    acts = g.on_interest(0.1, 1, Interest(BASE.segment(0), nonce=2))
+    assert acts == [(1, PendingFetch("v42", "720p", BASE))]
+    count, acts = g.publish_content_to_icn(0.2, "v42", "720p", b"y" * 250)
+    assert count == 3 and acts == [(1, g.repo[BASE.segment(0)])]
+    assert g.counters.cs_misses == 1 and g.counters.cs_hits == 0

@@ -290,15 +290,15 @@ def table_sizes(run) -> dict[tuple[str, str], int]:
     return sizes
 
 
-def live_segment_names() -> int:
+def live_names() -> int:
     gc.collect()
-    return len(ndn._SEGMENT_NAMES)
+    return len(ndn._NAMES)
 
 
 def test_table_sizes_do_not_grow_with_run_length():
     short = run_scenario(MINI, None, ["populations.0.request_count=6"])
-    short_names = live_segment_names()
+    short_names = live_names()
     long = run_scenario(MINI, None, ["populations.0.request_count=60"])
     assert [r.status for r in long.records] == ["ok"] * 60
     assert table_sizes(short) == table_sizes(long)
-    assert live_segment_names() == short_names
+    assert live_names() == short_names

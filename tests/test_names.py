@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,10 +73,70 @@ def test_segment_name():
 def test_segment_names_are_one_object_while_alive():
     assert Name.parse("/a/b").segment(3) is Name.parse("/a/b").segment(3)
     seg = Name.parse("/a/b").segment(3)
-    assert Name(seg.components) == seg and Name(seg.components) is not seg
+    assert Name(seg.components) == seg and Name(seg.components) is seg
     key = Name.parse("/transient").segment(9).components
     gc.collect()
-    assert key not in ndn._SEGMENT_NAMES
+    assert key not in ndn._NAMES
+
+
+# -- interning ------------------------------------------------------------------
+
+
+def test_every_constructor_returns_the_interned_name():
+    n = Name.parse("/i/j/seg=4")
+    comps = (b"i", b"j", b"seg=4")
+    assert Name(comps) is n
+    assert Name(list(comps)) is n
+    assert Name._unsafe(comps) is n
+    assert Name.parse("/i/j").segment(4) is n
+    assert Name.parse("/i/j").child(b"seg=4") is n
+    assert Name.parse("/i/j/seg=4/k").parent() is n
+    assert n.parent() is Name.parse("/i/j") is Name((b"i", b"j"))
+    assert Name.parse("/") is Name(()) is Name.parse("/i").parent()
+    assert ndn._NAMES[comps] is n
+
+
+def test_names_compare_and_hash_by_identity():
+    assert "__eq__" not in vars(Name) and "__hash__" not in vars(Name)
+    a, b = Name.parse("/p/q"), Name.parse("/p/r")
+    assert a == Name.parse("/p/q") and a != b
+    assert {a: 1}[Name((b"p", b"q"))] == 1
+    assert a != (b"p", b"q")
+
+
+def test_copies_and_pickles_are_the_interned_name():
+    n = Name.parse("/c/d/seg=1")
+    assert copy.copy(n) is n
+    assert copy.deepcopy(n) is n
+    assert copy.deepcopy({n: [n]}) == {n: [n]}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(n, protocol)) is n
+
+
+def test_unpickled_name_is_interned_after_the_original_is_gone():
+    blob = pickle.dumps(Name.parse("/gone/seg=2"))
+    gc.collect()
+    assert (b"gone", b"seg=2") not in ndn._NAMES
+    n = pickle.loads(blob)
+    assert n is Name.parse("/gone/seg=2") and n._wire_len == Name.parse("/gone")._wire_len + 10
+
+
+def test_sorted_orders_names_by_components():
+    uris = ["/b", "/a/z", "/a", "/", "/a/b/seg=10", "/a/b/seg=9", "/a/b"]
+    got = [str(n) for n in sorted(Name.parse(u) for u in uris)]
+    assert got == sorted(uris, key=lambda u: Name.parse(u).components)
+    assert got == ["/", "/a", "/a/b", "/a/b/seg=10", "/a/b/seg=9", "/a/z", "/b"]
+
+
+def test_table_forgets_unreferenced_names():
+    n = Name.parse("/forget/me")
+    key = n.components
+    assert key in ndn._NAMES
+    parent_key = n.parent().components
+    del n
+    gc.collect()
+    assert key not in ndn._NAMES and parent_key not in ndn._NAMES
+    assert Name.parse("/forget/me").components in ndn._NAMES
 
 
 def test_segment_rejects_full_name():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from icnsim.forwarder import Forwarder
 from icnsim.gateway import Gateway
 from icnsim.harness import run_scenario
 from icnsim.ndn import Name
@@ -83,7 +84,7 @@ def test_table1_slice_fits_default_quotas():
     assert sid == 0
     assert set(net.hosts) == {"ndn-jp", "ndn-eu", "ndn-us", "ndn-gw"}
     assert net.has_link("ndn-gw", "ndn-jp")
-    assert all(isinstance(net.hosts[n].fwd, Gateway) for n in net.hosts)
+    assert all(type(net.hosts[n].fwd) is Forwarder for n in net.hosts)
 
 
 def test_create_slice_atomic_rollback():
@@ -189,6 +190,27 @@ def test_link_selects_node_nearest_cache_with_w1():
     net, orch, cdn, icn, gw = linked_world(w=1.0)
     assert gw == "ndn-gw"
     assert orch.slices[icn].gateway_node == "ndn-gw"
+
+
+def test_link_gives_the_gateway_role_to_the_selected_node_only():
+    net, orch = make_orch()
+    cdn = orch.create_slice(cdn_spec())
+    icn = orch.create_slice(table1_icn_spec())
+    net.add_link("cdn", "ndn-gw", 5.0, 100.0)
+    orch.upload(cdn, "v42", b"z" * 1000, "1080p")
+    before = net.hosts["ndn-gw"].fwd
+    gw = orch.link_slices(cdn, icn, 1.0, [], Name.parse("/cdn"))
+    host = net.hosts[gw]
+    assert type(host.fwd) is Gateway and host.fwd is not before
+    # The gateway keeps the node's faces, tables and counters.
+    for attr in ("faces", "cs", "pit", "_fib", "counters"):
+        assert getattr(host.fwd, attr) is getattr(before, attr), attr
+    assert host.counters is host.fwd.counters
+    others = [n for n in net.hosts if n.startswith("ndn-") and n != gw]
+    assert others and all(type(net.hosts[n].fwd) is Forwarder for n in others)
+    # A second link keeps the gateway it gave.
+    assert orch.link_slices(cdn, icn, 1.0, [], Name.parse("/cdn")) == gw
+    assert net.hosts[gw].fwd is host.fwd
 
 
 def test_link_installs_routes_on_every_ndn_node():

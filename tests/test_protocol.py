@@ -17,7 +17,7 @@ already pending. A non-empty result never adds a drop.
 from hypothesis import given, settings, strategies as st
 
 from icnsim.forwarder import (DROP_INTEGRITY, DROP_LOOP, DROP_NO_ROUTE,
-                              DROP_UNSOLICITED, Forwarder, SendData, SendInterest)
+                              DROP_UNSOLICITED, Forwarder)
 from icnsim.gateway import Gateway, OriginRef, PendingFetch
 from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
 
@@ -104,7 +104,7 @@ class Model:
         base = self.served_base(name)
         store = self.repo if base is not None else self.cs
         if name in store:
-            return [SendData(face, store[name])]
+            return [(face, store[name])]
         if base is not None and base in self.published:
             return self.drop(DROP_NO_ROUTE)
         if pending:
@@ -117,14 +117,14 @@ class Model:
                 return []
             self.pending.add(base)
             cid, res, _payload = CONTENTS[base]
-            return [PendingFetch(cid, res, base)]
+            return [(face, PendingFetch(cid, res, base))]
         hop = route(name)
         if hop is None or hop == face:
             return self.drop(DROP_NO_ROUTE)
         if it.hop_limit <= 1:
             return self.drop(DROP_LOOP)
         self.records.append((name, face, it.nonce, deadline))
-        return [SendInterest(hop, Interest(name, it.nonce, it.lifetime_ms, it.hop_limit - 1))]
+        return [(hop, Interest(name, it.nonce, it.lifetime_ms, it.hop_limit - 1))]
 
     def data(self, now: float, face: int, d: Data, intact: bool) -> list:
         if not intact:
@@ -132,7 +132,7 @@ class Model:
         if not self.live(now, d.name):
             return self.drop(DROP_UNSOLICITED)
         self.cs[d.name] = d
-        return [SendData(f, d) for f in self.take(d.name) if f != face]
+        return [(f, d) for f in self.take(d.name) if f != face]
 
     def drain(self, now: float, base: Name) -> list:
         self.pending.discard(base)
@@ -142,7 +142,7 @@ class Model:
                 continue
             faces = self.take(name)
             if name in self.repo:
-                actions += [SendData(f, self.repo[name]) for f in faces]
+                actions += [(f, self.repo[name]) for f in faces]
             else:
                 self.drop(DROP_NO_ROUTE)
         return actions

@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Paired host-time benchmark of a change against a parent revision.
+
+    python3 tools/bench_pairs.py --parent REV [--pairs N] [--workload W ...]
+        [--seed S ...] --out BENCH_<n>.json
+
+Run from the root of a checkout; the change is that checkout as it
+stands. REV is checked out into a temporary ``git worktree``. For each
+workload and seed, each pair runs the unchanged ``perfbench/run.py
+--trace 0`` once on each side, the parent first in even pairs and the
+change first in odd ones, so that a slow or fast spell of the host falls
+on both sides alike. The output holds every run's last line, and per
+end-to-end metric each side's quartiles and median and the number of
+pairs the change won; which way is better comes from ``BENCHMARK.json``.
+The exit code is 1 if any run failed its checks or exited non-zero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def bench(root: Path, workload: str, seed: int) -> dict:
+    """One ``perfbench/run.py --trace 0`` in ``root``: its last stdout line."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    line = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    return {"exit": proc.returncode, "line": line}
+
+
+def quartiles(xs: list[float]) -> list[float]:
+    """[q1, median, q3]; a single value is its own quartiles."""
+    if len(xs) == 1:
+        return [xs[0]] * 3
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q1, med, q3]
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    pairs = sorted({r["pair"] for r in runs})
+    for metric, way in better.items():
+        value = {(r["pair"], r["side"]): r["line"].get("metrics", {}).get(metric, {}).get("value")
+                 for r in runs}
+        both = [p for p in pairs
+                if value[p, "parent"] is not None and value[p, "change"] is not None]
+        if not both:
+            continue
+        parent = [value[p, "parent"] for p in both]
+        change = [value[p, "change"] for p in both]
+        sign = 1 if way == "lower" else -1
+        wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
+        pq, cq = quartiles(parent), quartiles(change)
+        out[metric] = {"better": way, "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
+                       "median_change": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
+                       "change_wins": wins, "pairs": len(both)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent side")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", nargs="+", default=["flash-crowd"])
+    ap.add_argument("--seed", type=int, nargs="+", default=[7])
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    parent_commit = git("rev-parse", "--verify", args.parent + "^{commit}")
+    doc = {
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0, alternating "
+                   "parent/change, parent first in even pairs",
+        "parent_commit": parent_commit,
+        # The change is the checkout: HEAD plus any uncommitted edits.
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "uncommitted_edits": bool(git("status", "--porcelain",
+                                                 "--untracked-files=no"))},
+        "machine": "%s, %d CPUs, Python %s" % (platform.platform(), os.cpu_count() or 0,
+                                               platform.python_version()),
+        "pairs": args.pairs,
+        "results": {},
+    }
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent_root), parent_commit)
+        try:
+            for workload in args.workload:
+                for seed in args.seed:
+                    runs = []
+                    for pair in range(args.pairs):
+                        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                        for side in order:
+                            root = parent_root if side == "parent" else ROOT
+                            res = bench(root, workload, seed)
+                            ok = res["exit"] == 0 and res["line"].get("correct") is True
+                            failed |= not ok
+                            runs.append({"pair": pair, "side": side, **res})
+                            cpu = res["line"].get("metrics", {}).get("cpu_s", {}).get("value")
+                            print("%s seed %d pair %d %-6s cpu_s %s%s"
+                                  % (workload, seed, pair, side, cpu, "" if ok else " FAILED"),
+                                  file=sys.stderr, flush=True)
+                    doc["results"]["%s@%d" % (workload, seed)] = {
+                        "workload": workload, "seed": seed,
+                        "summary": summarize(runs, better), "runs": runs}
+                    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        finally:
+            git("worktree", "remove", "--force", str(parent_root))
+    for key, res in doc["results"].items():
+        for metric, s in res["summary"].items():
+            print("%-18s %-20s parent %.6g change %.6g (%+.1f%%) wins %d/%d"
+                  % (key, metric, s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1],
+                     100 * (s["median_change"] or 0.0), s["change_wins"], s["pairs"]))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
