@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .forwarder import Forwarder
 from .gateway import EmptyCandidates, Gateway, OriginRef, select_gateway
-from .ndn import Name
+from .ndn import U32_MAX, Name
 from .origin import CdnOrigin, ResolutionProfile
 from .simnet import Host, Network
 
@@ -87,24 +87,37 @@ class Vim:
             self.remaining[i] += n
 
 
+# A field range is (low, high, low_open); a None end is unbounded.
+AT_LEAST_1 = (1, None, False)
+NON_NEGATIVE = (0, None, False)
+POSITIVE = (0, None, True)
+UNIT = (0, 1, False)
+
+
+def knob(default, rng):
+    """A ``Knobs`` field: its default and its valid range."""
+    return field(default=default, metadata={"range": rng})
+
+
 @dataclass(slots=True)
 class Knobs:
     """Every tuning value of a run; the scenario's ``knobs`` object."""
 
-    chunk_size: int = 8192
-    window: int = 4
-    cs_capacity_bytes: int = 64 * 1024 * 1024
-    gateway_weight: float = 0.5
-    bucket_ms: float = 1000.0
-    origin_timeout_ms: float = 30_000.0
-    per_packet_cost_ms: float = 0.02
-    publish_freshness_ms: int = 3_600_000
-    interest_lifetime_ms: int = 4000
-    horizon_ms: float = 86_400_000.0
-    transcode_rate_bps: float = 20e6
-    scale_threshold: float = 0.8
-    scale_window_ms: float = 10_000.0
-    retransmit_max: int = 5
+    chunk_size: int = knob(8192, AT_LEAST_1)
+    window: int = knob(4, AT_LEAST_1)
+    cs_capacity_bytes: int = knob(64 * 1024 * 1024, NON_NEGATIVE)
+    gateway_weight: float = knob(0.5, UNIT)
+    # A tick period (bucket_ms, scale_window_ms) of 0 would reschedule itself forever.
+    bucket_ms: float = knob(1000.0, POSITIVE)
+    origin_timeout_ms: float = knob(30_000.0, POSITIVE)
+    per_packet_cost_ms: float = knob(0.02, NON_NEGATIVE)
+    publish_freshness_ms: int = knob(3_600_000, (0, U32_MAX, False))
+    interest_lifetime_ms: int = knob(4000, (0, U32_MAX, False))
+    horizon_ms: float = knob(86_400_000.0, POSITIVE)
+    transcode_rate_bps: float = knob(20e6, POSITIVE)
+    scale_threshold: float = knob(0.8, NON_NEGATIVE)
+    scale_window_ms: float = knob(10_000.0, POSITIVE)
+    retransmit_max: int = knob(5, AT_LEAST_1)
 
 
 @dataclass(slots=True)

@@ -11,13 +11,15 @@ diagnostics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .ndn import U32_MAX, MalformedUri, Name
-from .orchestration import (DomainSpec, Flavor, Knobs, QuotaExceeded, SliceSpec,
-                            Vim, VnfSpec, allocate_all, slice_faults)
+from .ndn import MalformedUri, Name
+from .orchestration import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, UNIT, DomainSpec, Flavor,
+                            Knobs, QuotaExceeded, SliceSpec, Vim, VnfSpec, allocate_all,
+                            slice_faults)
 
 NORTHBOUND_OPS = ("create_cdn_slice", "create_icn_slice", "upload",
                   "transcode", "link", "destroy")
@@ -143,16 +145,34 @@ def apply_overrides(doc: dict, sets: list[str]) -> list[Diagnostic]:
     return diags
 
 
-def _want(diags, doc, key, types, path, default=None, required=False):
-    v = doc.get(key, default)
-    if v is None and required:
-        diags.append(Diagnostic("missing-field", "%s.%s" % (path, key),
-                                "required field %r missing" % key))
+def range_text(rng) -> str:
+    """A field range ``(low, high, low_open)`` in interval notation: ``[1, inf)``."""
+    low, high, low_open = rng
+    left = "(-inf" if low is None else "%s%s" % ("(" if low_open else "[", low)
+    return "%s, %s" % (left, "inf)" if high is None else "%s]" % high)
+
+
+def _want(diags, doc, key, types, path, default=None, required=False, rng=None):
+    """Field ``key`` of ``doc``, or ``default`` if it is absent or null. A missing
+    required field, a value not of ``types`` (a number is never a bool and always
+    finite) or outside the range ``rng`` gets one diagnostic and reads as None."""
+    kpath = "%s.%s" % (path, key) if path else key
+    v = doc.get(key)
+    if v is None:
+        if required:
+            diags.append(Diagnostic("missing-field", kpath, "required field %r missing" % key))
+        return default
+    if (not isinstance(v, types) or isinstance(v, bool)
+            or isinstance(v, float) and not math.isfinite(v)):
+        diags.append(Diagnostic("bad-value", kpath, "field %r has wrong type" % key))
         return None
-    if v is not None and not isinstance(v, types):
-        diags.append(Diagnostic("bad-value", "%s.%s" % (path, key),
-                                "field %r has wrong type" % key))
-        return None
+    if rng is not None:
+        low, high, low_open = rng
+        if (low is not None and (v <= low if low_open else v < low)
+                or high is not None and v > high):
+            diags.append(Diagnostic("bad-value", kpath,
+                                    "field %r must be in %s" % (key, range_text(rng))))
+            return None
     return v
 
 
@@ -177,15 +197,9 @@ def _parse_flavor(diags, doc, path) -> Flavor | None:
     if not isinstance(doc, dict):
         diags.append(Diagnostic("bad-value", path, "flavor must be an object"))
         return None
-    vals = []
-    for k in ("vcpus", "ram_mb", "disk_gb"):
-        v = doc.get(k)
-        if not isinstance(v, int) or v < 1:
-            diags.append(Diagnostic("bad-value", "%s.%s" % (path, k),
-                                    "%s must be an integer >= 1" % k))
-            return None
-        vals.append(v)
-    return Flavor(*vals)
+    vals = [_want(diags, doc, k, int, path, required=True, rng=AT_LEAST_1)
+            for k in ("vcpus", "ram_mb", "disk_gb")]
+    return None if None in vals else Flavor(*vals)
 
 
 def _parse_pattern(diags, doc, path) -> tuple | None:
@@ -193,20 +207,11 @@ def _parse_pattern(diags, doc, path) -> tuple | None:
         diags.append(Diagnostic("bad-value", path, "pattern must be an object"))
         return None
     kind = doc.get("kind", "uniform" if "interval_ms" in doc else None)
-    if kind == "uniform":
-        iv = doc.get("interval_ms")
-        if not isinstance(iv, (int, float)) or iv < 0:
-            diags.append(Diagnostic("bad-value", path + ".interval_ms",
-                                    "interval_ms must be a number >= 0"))
-            return None
-        return ("uniform", float(iv))
-    if kind == "poisson":
-        rate = doc.get("rate_per_s")
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            diags.append(Diagnostic("bad-value", path + ".rate_per_s",
-                                    "rate_per_s must be a number > 0"))
-            return None
-        return ("poisson", float(rate))
+    for pkind, key, rng in (("uniform", "interval_ms", NON_NEGATIVE),
+                            ("poisson", "rate_per_s", POSITIVE)):
+        if kind == pkind:
+            v = _want(diags, doc, key, (int, float), path, required=True, rng=rng)
+            return None if v is None else (kind, float(v))
     diags.append(Diagnostic("bad-value", path + ".kind",
                             "pattern kind must be uniform or poisson"))
     return None
@@ -219,38 +224,20 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
 
     seed = _want(diags, doc, "seed", int, "", default=0)
     mode = _want(diags, doc, "mode", str, "", default="icn")
-    if mode not in ("icn", "cdn-only"):
+    if mode is not None and mode not in ("icn", "cdn-only"):
         diags.append(Diagnostic("bad-value", "mode", "mode must be icn or cdn-only"))
 
     knobs = Knobs()
-    kdoc = doc.get("knobs", {})
-    if not isinstance(kdoc, dict):
-        diags.append(Diagnostic("bad-value", "knobs", "knobs must be an object"))
-        kdoc = {}
-    known = {f.name: f.type for f in fields(Knobs)}
-    for k, v in kdoc.items():
-        if k not in known:
+    kdoc = _want(diags, doc, "knobs", dict, "", default={}) or {}
+    for f in fields(Knobs):
+        kind = type(f.default)
+        v = _want(diags, kdoc, f.name, kind if kind is int else (int, float), "knobs",
+                  rng=f.metadata["range"])
+        if v is not None:
+            setattr(knobs, f.name, kind(v))
+    for k in kdoc:
+        if not any(k == f.name for f in fields(Knobs)):
             diags.append(Diagnostic("unknown-field", "knobs.%s" % k, "unknown knob %r" % k))
-            continue
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            diags.append(Diagnostic("bad-value", "knobs.%s" % k, "knob %r must be numeric" % k))
-            continue
-        cur = getattr(knobs, k)
-        setattr(knobs, k, int(v) if isinstance(cur, int) else float(v))
-    if knobs.chunk_size < 1:
-        diags.append(Diagnostic("bad-value", "knobs.chunk_size", "chunk_size must be >= 1"))
-    if knobs.window < 1:
-        diags.append(Diagnostic("bad-value", "knobs.window", "window must be >= 1"))
-    if not 0.0 <= knobs.gateway_weight <= 1.0:
-        diags.append(Diagnostic("bad-value", "knobs.gateway_weight",
-                                "gateway_weight must be in [0, 1]"))
-    if not 0 <= knobs.interest_lifetime_ms <= U32_MAX:
-        diags.append(Diagnostic("bad-value", "knobs.interest_lifetime_ms",
-                                "interest_lifetime_ms must be in [0, %d]" % U32_MAX))
-    for k in ("bucket_ms", "scale_window_ms"):
-        # A housekeeping tick of period 0 would reschedule itself forever.
-        if getattr(knobs, k) <= 0:
-            diags.append(Diagnostic("bad-value", "knobs.%s" % k, "%s must be > 0" % k))
 
     domains: list[DomainSpec] = []
     seen_domains = set()
@@ -266,33 +253,27 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         seen_domains.add(dname)
         domains.append(DomainSpec(dname, region or "", quota))
 
-    topo = doc.get("topology", {})
-    if not isinstance(topo, dict):
-        diags.append(Diagnostic("bad-value", "topology", "topology must be an object"))
-        topo = {}
+    topo = _want(diags, doc, "topology", dict, "", default={}) or {}
     nodes: list[NodeDef] = []
     node_ids: set[str] = set()
     for path, n in _objects(diags, topo, "nodes", "topology"):
         nid = _want(diags, n, "id", str, path, required=True)
-        cs = _want(diags, n, "cs_capacity_bytes", int, path, default=0)
+        cs = _want(diags, n, "cs_capacity_bytes", int, path, default=0, rng=NON_NEGATIVE)
         if nid is None:
             continue
         if nid in node_ids:
             diags.append(Diagnostic("duplicate", path + ".id", "duplicate node %r" % nid))
             continue
         node_ids.add(nid)
-        nodes.append(NodeDef(nid, cs or 0))
+        nodes.append(NodeDef(nid, cs))
 
     contents: list[ContentDef] = []
     content_by_id: dict[str, ContentDef] = {}
     for path, c in _objects(diags, doc, "contents", ""):
         cid = _want(diags, c, "content_id", str, path, required=True)
-        size = _want(diags, c, "size_bytes", int, path, required=True)
+        size = _want(diags, c, "size_bytes", int, path, required=True, rng=NON_NEGATIVE)
         src = _want(diags, c, "source_resolution", str, path, required=True)
         if cid is None or size is None or src is None:
-            continue
-        if size < 0:
-            diags.append(Diagnostic("bad-value", path + ".size_bytes", "size must be >= 0"))
             continue
         if cid in content_by_id:
             diags.append(Diagnostic("duplicate", path + ".content_id",
@@ -342,7 +323,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         if kind in ("create_cdn_slice", "create_icn_slice"):
             label = _want(diags, op, "slice", str, path, required=True)
             duration = _want(diags, op, "duration_ms", (int, float), path,
-                             default=86_400_000.0)
+                             default=86_400_000.0, rng=POSITIVE)
             if label is None:
                 continue
             if label in slice_labels:
@@ -356,7 +337,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                 role = _want(diags, v, "role", str, vpath, required=True)
                 dom = _want(diags, v, "domain", str, vpath, required=True)
                 nid = _want(diags, v, "node", str, vpath, required=True)
-                cs = _want(diags, v, "cs_capacity_bytes", int, vpath)
+                cs = _want(diags, v, "cs_capacity_bytes", int, vpath, rng=NON_NEGATIVE)
                 flavor = _parse_flavor(diags, v.get("flavor", {}), vpath + ".flavor")
                 if None not in (role, dom, nid) and flavor is not None:
                     vnfs.append(VnfSpec(role, dom, flavor, nid, cs))
@@ -407,7 +388,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         elif kind == "link":
             cdn = _want(diags, op, "cdn", str, path, required=True)
             icn = _want(diags, op, "icn", str, path, required=True)
-            weight = _want(diags, op, "weight", (int, float), path)
+            weight = _want(diags, op, "weight", (int, float), path, rng=UNIT)
             prefix = _want(diags, op, "prefix", str, path, default="/cdn")
             if cdn is not None and slice_labels.get(cdn) != "CDN":
                 diags.append(Diagnostic("bad-reference", path + ".cdn",
@@ -415,17 +396,11 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
             if icn is not None and slice_labels.get(icn) != "ICN":
                 diags.append(Diagnostic("bad-reference", path + ".icn",
                                         "link needs an existing ICN slice"))
-            pname = None
             try:
-                pname = Name.parse(prefix or "/cdn")
+                link_prefixes.append(Name.parse("/cdn" if prefix is None else prefix))
             except MalformedUri as e:
                 diags.append(Diagnostic("bad-value", path + ".prefix", str(e)))
-            if weight is not None and not 0 <= weight <= 1:
-                diags.append(Diagnostic("bad-value", path + ".weight",
-                                        "weight must be in [0, 1]"))
-            if pname is not None:
-                link_prefixes.append(pname)
-            rec.update(cdn=cdn, icn=icn, weight=weight, prefix=prefix or "/cdn")
+            rec.update(cdn=cdn, icn=icn, weight=weight, prefix=prefix)
         elif kind == "destroy":
             label = _want(diags, op, "slice", str, path, required=True)
             if label is not None and label not in slice_labels:
@@ -442,8 +417,9 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     for path, l in _objects(diags, topo, "links", "topology"):
         a = _want(diags, l, "a", str, path, required=True)
         b = _want(diags, l, "b", str, path, required=True)
-        lat = _want(diags, l, "latency_ms", (int, float), path, required=True)
-        bw = _want(diags, l, "bandwidth_mbps", (int, float), path, required=True)
+        lat = _want(diags, l, "latency_ms", (int, float), path, required=True,
+                    rng=NON_NEGATIVE)
+        bw = _want(diags, l, "bandwidth_mbps", (int, float), path, required=True, rng=POSITIVE)
         if None in (a, b, lat, bw):
             continue
         for end, key in ((a, "a"), (b, "b")):
@@ -451,14 +427,6 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                 diags.append(Diagnostic("bad-reference", "%s.%s" % (path, key),
                                         "unknown node %r in link" % end))
         if a not in node_ids or b not in node_ids:
-            continue
-        if bw <= 0:
-            diags.append(Diagnostic("bad-value", path + ".bandwidth_mbps",
-                                    "bandwidth must be > 0"))
-            continue
-        if lat < 0:
-            diags.append(Diagnostic("bad-value", path + ".latency_ms",
-                                    "latency must be >= 0"))
             continue
         key = (a, b) if a < b else (b, a)
         if key in seen_links:
@@ -471,15 +439,12 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     for path, p in _objects(diags, doc, "populations", ""):
         region = _want(diags, p, "region", str, path, required=True)
         attach = _want(diags, p, "attach_node", str, path, required=True)
-        count = _want(diags, p, "request_count", int, path, required=True)
+        count = _want(diags, p, "request_count", int, path, required=True, rng=NON_NEGATIVE)
         content = _want(diags, p, "content", str, path, required=True)
-        retrans = _want(diags, p, "retransmit_ms", (int, float), path, default=4500.0)
+        retrans = _want(diags, p, "retransmit_ms", (int, float), path, default=4500.0,
+                        rng=POSITIVE)
         pattern = _parse_pattern(diags, p.get("pattern", {}), path + ".pattern")
-        if None in (region, attach, count, content) or pattern is None:
-            continue
-        if count < 0:
-            diags.append(Diagnostic("bad-value", path + ".request_count",
-                                    "request_count must be >= 0"))
+        if None in (region, attach, count, content, retrans) or pattern is None:
             continue
         if attach not in node_ids:
             diags.append(Diagnostic("bad-reference", path + ".attach_node",
@@ -516,10 +481,6 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
             diags.append(Diagnostic("bad-reference", path + ".content",
                                     "content name is not under any linked prefix"))
             continue
-        if retrans is None or retrans <= 0:
-            diags.append(Diagnostic("bad-value", path + ".retransmit_ms",
-                                    "retransmit_ms must be > 0"))
-            continue
         populations.append(PopulationDef(region, attach, count, cname, pattern,
                                          float(retrans), cid, resolution, size))
 
@@ -531,7 +492,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
 
     if diags:
         return None, diags
-    return Scenario(seed or 0, mode, domains, nodes, links, contents,
+    return Scenario(seed, mode, domains, nodes, links, contents,
                     northbound, populations, knobs,
                     str(doc.get("name", name))), []
 

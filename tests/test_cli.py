@@ -53,10 +53,21 @@ def test_validate_non_list_or_non_object_exits_2(override, capsys):
 @pytest.mark.parametrize("override", [
     "knobs.interest_lifetime_ms=-1", "knobs.interest_lifetime_ms=4294967296",
     "knobs.bucket_ms=0", "knobs.bucket_ms=-5", "knobs.scale_window_ms=0",
-    "knobs.scale_window_ms=-1"])
+    "knobs.scale_window_ms=-1",
+    # non-finite, boolean and non-integral values
+    "knobs.interest_lifetime_ms=NaN", "knobs.chunk_size=Infinity", "knobs.bucket_ms=NaN",
+    "knobs.chunk_size=1.5", "knobs.window=4.0", "seed=true", "mode=5",
+    "populations.0.request_count=true", "topology.links.0.latency_ms=NaN",
+    "northbound.0.duration_ms=-1", 'northbound.3.prefix=""',
+    # just outside each knob's range
+    "knobs.chunk_size=0", "knobs.window=0", "knobs.cs_capacity_bytes=-1",
+    "knobs.gateway_weight=-0.01", "knobs.gateway_weight=1.01", "knobs.origin_timeout_ms=0",
+    "knobs.per_packet_cost_ms=-0.01", "knobs.publish_freshness_ms=-1",
+    "knobs.publish_freshness_ms=4294967296", "knobs.horizon_ms=0",
+    "knobs.transcode_rate_bps=0", "knobs.scale_threshold=-0.01", "knobs.retransmit_max=0"])
 def test_validate_knob_out_of_range_exits_2(override, tmp_path, capsys):
-    # Each of these used to validate, and then the run failed (lifetime)
-    # or never ended (a housekeeping period of 0 or less).
+    # Most of these used to validate (or crash validate), and then the run
+    # failed, never ended, or ran with a value the document did not say.
     assert main(["validate", str(MINI), "--set", override]) == 2
     diags = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     path = override.partition("=")[0]
@@ -68,7 +79,12 @@ def test_validate_knob_out_of_range_exits_2(override, tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "knobs.interest_lifetime_ms=0", "knobs.interest_lifetime_ms=4294967295",
-    "knobs.bucket_ms=0.5", "knobs.scale_window_ms=1"])
+    "knobs.bucket_ms=0.5", "knobs.scale_window_ms=1",
+    "knobs.chunk_size=1", "knobs.window=1", "knobs.cs_capacity_bytes=0",
+    "knobs.gateway_weight=0", "knobs.gateway_weight=1", "knobs.origin_timeout_ms=1e-9",
+    "knobs.per_packet_cost_ms=0", "knobs.publish_freshness_ms=0",
+    "knobs.publish_freshness_ms=4294967295", "knobs.horizon_ms=1e-9",
+    "knobs.transcode_rate_bps=1e-9", "knobs.scale_threshold=0", "knobs.retransmit_max=1"])
 def test_validate_knob_at_range_edge_exits_0(override, capsys):
     assert main(["validate", str(MINI), "--set", override]) == 0
     assert capsys.readouterr().out == ""

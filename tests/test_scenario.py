@@ -4,7 +4,8 @@ import json
 import re
 
 from icnsim.orchestration import Knobs
-from icnsim.scenario import apply_overrides, load_scenario, parse_doc, validate_doc
+from icnsim.scenario import (apply_overrides, load_scenario, parse_doc, range_text,
+                             validate_doc)
 
 from conftest import MINI, REFERENCE, SCENARIOS
 
@@ -114,9 +115,11 @@ def test_unknown_top_level_and_knob_fields():
 
 
 def test_readme_knob_table_matches_knobs():
-    rows = re.findall(r"^\s*\| `(\w+)` \| ([-+.\d]+) \|", README.read_text(), re.M)
-    documented = [(name, ast.literal_eval(default)) for name, default in rows]
-    assert documented == [(f.name, f.default) for f in dataclasses.fields(Knobs)]
+    rows = re.findall(r"^\s*\| `(\w+)` \| ([-+.\d]+) \| `([^`]+)` \|", README.read_text(),
+                      re.M)
+    documented = [(name, ast.literal_eval(default), rng) for name, default, rng in rows]
+    assert documented == [(f.name, f.default, range_text(f.metadata["range"]))
+                          for f in dataclasses.fields(Knobs)]
 
 
 def test_upload_requires_existing_cdn_slice():
