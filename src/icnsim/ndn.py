@@ -333,7 +333,8 @@ def hash_stream(key: bytes, length: int) -> bytes:
     while len(out) < length:
         out += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
         counter += 1
-    return bytes(out[:length])
+    del out[length:]
+    return bytes(out)
 
 
 # Encoded interest bytes besides its name: the outer TLV header and the

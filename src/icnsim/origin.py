@@ -1,8 +1,11 @@
 """Emulated CDN slice functions: content cache, transcoder, streamer.
 
 Video content is opaque synthetic bytes; transcoding is a size and CPU
-model only. One CdnOrigin instance is the content authority of one CDN
-slice, shared by its cache/streamer nodes.
+model only. A transcode charges its CPU time and stores the variant's
+size and stream key at once, but the variant's bytes are made on first
+read, so a variant no request reads costs no synthesis. One CdnOrigin
+instance is the content authority of one CDN slice, shared by its
+cache/streamer nodes.
 """
 
 from __future__ import annotations
@@ -49,14 +52,24 @@ class ResolutionProfile:
 
 @dataclass(slots=True, frozen=True)
 class ContentObject:
+    """A stored content or variant. An upload gives its payload; a
+    variant's payload is ``hash_stream(stream_key, size_bytes)``, made on
+    first read and then kept."""
+
     content_id: str
     resolution: str
-    payload: bytes
+    size_bytes: int
+    stream_key: bytes = b""
+    _payload: bytes | None = field(default=None, repr=False, compare=False)
     _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def size_bytes(self) -> int:
-        return len(self.payload)
+    def payload(self) -> bytes:
+        p = self._payload
+        if p is None:
+            p = hash_stream(self.stream_key, self.size_bytes)
+            object.__setattr__(self, "_payload", p)
+        return p
 
     @property
     def digest(self) -> bytes:
@@ -92,7 +105,7 @@ class CdnOrigin:
     def upload(self, content_id: str, payload: bytes, source_resolution: str) -> ContentObject:
         if content_id in self._source_res:
             raise DuplicateContent(content_id)
-        obj = ContentObject(content_id, source_resolution, payload)
+        obj = ContentObject(content_id, source_resolution, len(payload), _payload=payload)
         self._store[(content_id, source_resolution)] = obj
         self._source_res[content_id] = source_resolution
         self.store_bytes += len(payload)
@@ -106,12 +119,11 @@ class CdnOrigin:
         if (content_id, target.tag) in self._store:
             raise DuplicateVariant((content_id, target.tag))
         src = self._store[(content_id, src_res)]
-        out_len = len(src.payload) * target.scale.numerator // target.scale.denominator
-        payload = hash_stream(src.digest + target.tag.encode(), out_len)
-        obj = ContentObject(content_id, target.tag, payload)
+        out_len = src.size_bytes * target.scale.numerator // target.scale.denominator
+        obj = ContentObject(content_id, target.tag, out_len, src.digest + target.tag.encode())
         self._store[(content_id, target.tag)] = obj
         self.store_bytes += out_len
-        busy_ms = len(src.payload) / self.transcode_rate_bps * 1000.0
+        busy_ms = src.size_bytes / self.transcode_rate_bps * 1000.0
         if self.on_cpu is not None:
             self.on_cpu(busy_ms)
         return obj

@@ -375,10 +375,6 @@ class Host:
         else:
             self._handle_ip(now, msg, nbytes)
 
-    def inject_interest(self, face: int, interest: Interest):
-        """Feed an interest from a local application face."""
-        self._emit(self.fwd.on_interest(self.net.now, face, interest), self.id)
-
     def _emit(self, actions, served_by: str):
         """Send each ``(face, packet)`` pair, or hand a Data to the app on
         its face; a PendingFetch starts an origin fetch."""
@@ -507,13 +503,10 @@ class _Request:
 
 
 class _Outstanding:
-    __slots__ = ("seg", "last_issue", "attempts", "waiters")
+    """One segment's interest in flight at a population and the requests
+    waiting on it; ``Population._advance`` builds it without ``__init__``."""
 
-    def __init__(self, seg: int, now: float, first: _Request):
-        self.seg = seg
-        self.last_issue = now
-        self.attempts = 1
-        self.waiters: list[_Request] = [first]
+    __slots__ = ("seg", "last_issue", "attempts", "waiters")
 
 
 class _Consumers:
@@ -621,10 +614,17 @@ class Population(_Consumers):
             if entry is not None:
                 entry.waiters.append(req)
             else:
-                self.outstanding[name] = _Outstanding(seg, now, req)
+                entry = object.__new__(_Outstanding)
+                entry.seg = seg
+                entry.last_issue = now
+                entry.attempts = 1
+                entry.waiters = [req]
+                self.outstanding[name] = entry
                 self._issue_interest(name)
 
     def _issue_interest(self, name: Name):
+        """Feed an interest for ``name`` into the host's forwarder on the
+        population's application face."""
         # Built without __init__: a 64-bit nonce, a lifetime checked when
         # the population was made and the default hop limit are all valid.
         interest = object.__new__(Interest)
@@ -632,7 +632,8 @@ class Population(_Consumers):
         interest.nonce = self.rng.getrandbits(64)
         interest.lifetime_ms = self.lifetime_ms
         interest.hop_limit = DEFAULT_HOP_LIMIT
-        self.host.inject_interest(self.app_face, interest)
+        host = self.host
+        host._emit(host.fwd.on_interest(self.net.now, self.app_face, interest), host.id)
 
     def _end(self, now: float, req: _Request, status: str):
         req.done = True

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -14,6 +15,14 @@ MINI = SCENARIOS / "mini.json"
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+def counter_stream(key: bytes, n: int) -> bytes:
+    """The byte contract of ``hash_stream``, written apart from it: SHA-256
+    of the key and an 8-byte big-endian block counter, blocks joined and
+    cut to ``n`` bytes."""
+    return b"".join(hashlib.sha256(key + i.to_bytes(8, "big")).digest()
+                    for i in range(-(-n // 32)))[:n]
 
 
 def build_chain(node_specs, links):

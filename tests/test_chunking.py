@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.ndn import Name, chunk_content, compute_digest, hash_stream
+
+from conftest import counter_stream
 
 
 def reassemble(segments):
@@ -63,3 +66,16 @@ def test_hash_stream_deterministic_and_sized():
     assert len(hash_stream(b"k", 33)) == 33
     # Prefix property: longer streams extend shorter ones.
     assert hash_stream(b"k", 100)[:64] == hash_stream(b"k", 64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 8191, 8192, 8193, 2 * 1024 * 1024])
+def test_hash_stream_matches_counter_formula(n):
+    out = hash_stream(b"v42:1080p", n)
+    assert type(out) is bytes and len(out) == n
+    assert out == counter_stream(b"v42:1080p", n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.binary(max_size=80), st.integers(0, 3000))
+def test_hash_stream_matches_counter_formula_on_draws(key, n):
+    assert hash_stream(key, n) == counter_stream(key, n)

@@ -7,7 +7,9 @@ must say which bytes changed and why, then update the constants.
 
 import copy
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +87,15 @@ def test_poisson_output_digests(mode, tmp_path):
     run = run_scenario(path, tmp_path / "out", ["mode=%s" % mode])
     assert len(run.records) == 50
     assert _digests(tmp_path / "out") == GOLDEN_POISSON[mode]
+
+
+def test_bench_pairs_output_digests_match_golden():
+    """The output check of ``tools/bench_pairs.py`` hashes the same bytes
+    that ``GOLDEN`` pins."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  root / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    assert bench_pairs.output_digests(root, ["mini"]) == {
+        "mini/" + mode: GOLDEN[mode] for mode in bench_pairs.OUTPUT_MODES}

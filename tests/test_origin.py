@@ -1,7 +1,15 @@
+import json
+
 import pytest
 
+from icnsim import origin as origin_mod
+from icnsim.harness import run_scenario
+from icnsim.ndn import compute_digest
 from icnsim.origin import (CdnOrigin, DuplicateContent, DuplicateVariant,
                            ResolutionProfile, UnknownContent, synthesize_payload)
+from icnsim.simnet import Host, Network
+
+from conftest import MINI, counter_stream
 
 MIB = 1024 * 1024
 
@@ -102,3 +110,59 @@ def test_synthesize_payload_keyed_on_all_inputs():
     assert a != synthesize_payload(2, "v", 64)
     assert a != synthesize_payload(1, "w", 64)
     assert len(synthesize_payload(1, "v", 1000)) == 1000
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    """Every ``hash_stream`` call the origin module makes, as (key, length)."""
+    calls = []
+    real = origin_mod.hash_stream
+
+    def counted(key, length):
+        calls.append((key, length))
+        return real(key, length)
+
+    monkeypatch.setattr(origin_mod, "hash_stream", counted)
+    return calls
+
+
+def test_transcode_synthesizes_nothing_and_meters_as_eager(stream_calls):
+    charged = []
+    o = loaded_origin(on_cpu=charged.append)
+    host = Host(Network(), "o", origin=o)
+    del stream_calls[:]  # the upload's own synthesis
+    src = o.get("v42", "1080p")
+    out = o.transcode("v42", ResolutionProfile("720p", 0.5))
+    assert stream_calls == []
+    eager = counter_stream(src.digest + b"720p", MIB)
+    assert out.size_bytes == len(eager) == MIB
+    assert o.store_bytes == 2 * MIB + len(eager)
+    assert host.mem_bytes() == 2 * MIB + len(eager)
+    assert charged == [pytest.approx(2 * MIB / 20_000_000 * 1000.0, abs=1e-9)]
+
+
+def test_variant_payload_made_once_on_first_read(stream_calls):
+    o = loaded_origin()
+    src = o.get("v42", "1080p")
+    out = o.transcode("v42", ResolutionProfile("360p", "1/3"))
+    del stream_calls[:]
+    first = out.payload
+    assert stream_calls == [(src.digest + b"360p", 2 * MIB // 3)]
+    assert first == counter_stream(src.digest + b"360p", 2 * MIB // 3)
+    assert out.payload is first
+    assert o.stream("v42", "360p") is first
+    assert len(stream_calls) == 1
+    assert out.digest == compute_digest(first)
+
+
+def test_unrequested_variant_is_never_synthesized(stream_calls, tmp_path):
+    doc = json.loads(MINI.read_text())
+    doc["northbound"].insert(2, {"op": "transcode", "slice": "c1",
+                                 "content_id": "clip", "tag": "360p"})
+    path = tmp_path / "mini-360p.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("icn", "cdn-only"):
+        del stream_calls[:]
+        run = run_scenario(path, None, ["mode=" + mode])
+        assert stream_calls == [(b"7:clip:16384", 16384)]
+        assert [r.status for r in run.records] == ["ok"] * 6

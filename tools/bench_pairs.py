@@ -5,19 +5,24 @@
         [--seed S ...] --out BENCH_<n>.json
 
 Run from the root of a checkout; the change is that checkout as it
-stands. REV is checked out into a temporary ``git worktree``. For each
+stands. REV's committed files are extracted with ``git archive`` into a
+temporary directory. First each side runs ``icnsim run`` on
+``scenarios/mini.json`` and ``scenarios/reference.json`` in both delivery
+modes, and the SHA-256 of every output file is recorded. Then, for each
 workload and seed, each pair runs the unchanged ``perfbench/run.py
 --trace 0`` once on each side, the parent first in even pairs and the
 change first in odd ones, so that a slow or fast spell of the host falls
-on both sides alike. The output holds every run's last line, and per
-end-to-end metric each side's quartiles and median and the number of
-pairs the change won; which way is better comes from ``BENCHMARK.json``.
-The exit code is 1 if any run failed its checks or exited non-zero.
+on both sides alike. The output holds both sides' output digests, every
+run's last line, and per end-to-end metric each side's quartiles and
+median and the number of pairs the change won; which way is better comes
+from ``BENCHMARK.json``. The exit code is 1 if the two sides' output
+digests differ, or if any run failed its checks or exited non-zero.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -28,6 +33,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUTPUT_SCENARIOS = ("mini", "reference")
+OUTPUT_MODES = ("icn", "cdn-only")
+RUN_CLI = "import sys; from icnsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -43,6 +51,29 @@ def bench(root: Path, workload: str, seed: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     line = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     return {"exit": proc.returncode, "line": line}
+
+
+def output_digests(root: Path, scenarios=OUTPUT_SCENARIOS) -> dict[str, dict[str, str]]:
+    """SHA-256 of each output file of ``icnsim run`` on ``root``'s
+    ``scenarios/<name>.json`` in each mode, run from ``root/src`` in a fresh
+    interpreter, keyed ``"<name>/<mode>"``; a failed run maps to its exit code."""
+    out = {}
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory(prefix="bench-outputs-") as tmp:
+        for name in scenarios:
+            for mode in OUTPUT_MODES:
+                dest = Path(tmp) / name / mode
+                proc = subprocess.run(
+                    [sys.executable, "-c", RUN_CLI, "run",
+                     str(root / "scenarios" / (name + ".json")), "--out", str(dest),
+                     "--mode", mode], cwd=root, env=env, capture_output=True)
+                key = "%s/%s" % (name, mode)
+                if proc.returncode != 0:
+                    out[key] = {"exit": proc.returncode}
+                    continue
+                out[key] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                            for f in sorted(dest.iterdir())}
+    return out
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -100,32 +131,38 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "results": {},
     }
-    failed = False
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_root), parent_commit)
-        try:
-            for workload in args.workload:
-                for seed in args.seed:
-                    runs = []
-                    for pair in range(args.pairs):
-                        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                        for side in order:
-                            root = parent_root if side == "parent" else ROOT
-                            res = bench(root, workload, seed)
-                            ok = res["exit"] == 0 and res["line"].get("correct") is True
-                            failed |= not ok
-                            runs.append({"pair": pair, "side": side, **res})
-                            cpu = res["line"].get("metrics", {}).get("cpu_s", {}).get("value")
-                            print("%s seed %d pair %d %-6s cpu_s %s%s"
-                                  % (workload, seed, pair, side, cpu, "" if ok else " FAILED"),
-                                  file=sys.stderr, flush=True)
-                    doc["results"]["%s@%d" % (workload, seed)] = {
-                        "workload": workload, "seed": seed,
-                        "summary": summarize(runs, better), "runs": runs}
-                    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-        finally:
-            git("worktree", "remove", "--force", str(parent_root))
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
+        outputs = {"parent": output_digests(parent_root), "change": output_digests(ROOT)}
+        outputs["identical"] = outputs["parent"] == outputs["change"]
+        doc["outputs"] = outputs
+        failed = not outputs["identical"]
+        print("output digests of %s: %s" % (", ".join(sorted(outputs["change"])),
+                                            "identical" if not failed else "DIFFER"),
+              file=sys.stderr, flush=True)
+        for workload in args.workload:
+            for seed in args.seed:
+                runs = []
+                for pair in range(args.pairs):
+                    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        root = parent_root if side == "parent" else ROOT
+                        res = bench(root, workload, seed)
+                        ok = res["exit"] == 0 and res["line"].get("correct") is True
+                        failed |= not ok
+                        runs.append({"pair": pair, "side": side, **res})
+                        cpu = res["line"].get("metrics", {}).get("cpu_s", {}).get("value")
+                        print("%s seed %d pair %d %-6s cpu_s %s%s"
+                              % (workload, seed, pair, side, cpu, "" if ok else " FAILED"),
+                              file=sys.stderr, flush=True)
+                doc["results"]["%s@%d" % (workload, seed)] = {
+                    "workload": workload, "seed": seed,
+                    "summary": summarize(runs, better), "runs": runs}
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for key, res in doc["results"].items():
         for metric, s in res["summary"].items():
             print("%-18s %-20s parent %.6g change %.6g (%+.1f%%) wins %d/%d"
