@@ -20,6 +20,7 @@ charges against link bandwidth.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 import struct
 import weakref
@@ -262,10 +263,12 @@ class Data:
 
     Immutable, so ``intact()`` hashes the payload at most once per object,
     and ``wire_len``, its encoded length, is computed once when it is built.
+    A segment's payload is a read-only view into its content's bytes (see
+    ``chunk_content``).
     """
 
     name: Name
-    payload: bytes
+    payload: bytes | memoryview
     digest: bytes
     freshness_ms: int = 0
     final_segment: int | None = None
@@ -307,15 +310,23 @@ def chunk_content(base: Name, payload: bytes, chunk_size: int = DEFAULT_CHUNK_SI
     Produces ceil(len/chunk_size) segments; empty content still yields a
     single empty segment so last-segment signaling always exists. Every
     segment carries final_segment = count - 1.
+
+    Each segment's payload is a read-only ``memoryview`` slice of one
+    ``bytes`` object, so the segments share the content's buffer instead
+    of copying it. A payload that is not ``bytes`` is copied to ``bytes``
+    once first, so that no segment aliases a buffer that can change.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if type(payload) is not bytes:
+        payload = bytes(payload)
+    view = memoryview(payload)
     total = len(payload)
     count = max(1, -(-total // chunk_size))
     final = count - 1
     out = []
     for i in range(count):
-        piece = payload[i * chunk_size : min((i + 1) * chunk_size, total)]
+        piece = view[i * chunk_size : min((i + 1) * chunk_size, total)]
         out.append(make_data(base.segment(i), piece, freshness_ms, final))
     return out
 
@@ -324,17 +335,18 @@ def hash_stream(key: bytes, length: int) -> bytes:
     """Deterministic pseudo-random bytes derived from ``key``.
 
     Used for synthetic content payloads and transcoder outputs so that
-    byte-level checks stay reproducible across runs and platforms.
+    byte-level checks stay reproducible across runs and platforms. The
+    stream is built in place: ``BytesIO.getvalue`` hands over its buffer,
+    trimmed to ``length``, instead of copying it.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    del out[length:]
-    return bytes(out)
+    buf = io.BytesIO()
+    write = buf.write
+    for counter in range(-(-length // DIGEST_LEN)):
+        write(hashlib.sha256(key + counter.to_bytes(8, "big")).digest())
+    buf.truncate(length)
+    return buf.getvalue()
 
 
 # Encoded interest bytes besides its name: the outer TLV header and the

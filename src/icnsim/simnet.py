@@ -523,7 +523,7 @@ class _Consumers:
         self.net = net
         self.host = host
         self.region = region
-        self.content = content
+        self.content_uri = str(content)  # one string shared by every record
         self.resolution = resolution
         self.request_count = request_count
         self.pattern = pattern
@@ -561,7 +561,7 @@ class _Consumers:
                 status: str, nbytes: int, attempts: int = 1):
         self.active -= 1
         self.records.append(RequestRecord(
-            rid, self.region, self.host.id, str(self.content), self.resolution,
+            rid, self.region, self.host.id, self.content_uri, self.resolution,
             t_issue, now, now - t_issue, served_by, status, nbytes, attempts))
 
     def finished(self) -> bool:
@@ -654,7 +654,12 @@ class Population(_Consumers):
         try:
             while inbox:
                 now, data, served_by = inbox.popleft()
-                if not data.intact() or data.final_segment != self.seg_count - 1:
+                # The forwarder memoized the check; a Data put in a store by
+                # hand has no memo yet and is hashed here.
+                ok = data._intact
+                if ok is None:
+                    ok = data.intact()
+                if not ok or data.final_segment != self.seg_count - 1:
                     # Should have been dropped upstream. Treat it as a loss: the
                     # entry stays and the watchdog retransmits it under max_attempts.
                     continue

@@ -25,8 +25,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # 504 before a content's payload became a memo read through a property
 # (+1 per origin read: 2 in icn, 7 in cdn-only) and the population fed its
 # interests to the forwarder and built its outstanding entries without a
-# call of their own (-2 per issued interest: 6 in icn).
-FRAMES = {"icn": 514, "cdn-only": 511}
+# call of their own (-2 per issued interest: 6 in icn); 514 and 511 before
+# a population built its content URI once rather than per record (-9 per
+# record of a three-component name: 6 in each mode) and read the Data's
+# memoized digest check rather than calling ``intact()`` (-1 per Data a
+# consumer takes: 6 in icn).
+FRAMES = {"icn": 454, "cdn-only": 457}
 
 COUNT = r"""
 import sys

@@ -8,7 +8,10 @@ Run from the root of a checkout; the change is that checkout as it
 stands. REV's committed files are extracted with ``git archive`` into a
 temporary directory. First each side runs ``icnsim run`` on
 ``scenarios/mini.json`` and ``scenarios/reference.json`` in both delivery
-modes, and the SHA-256 of every output file is recorded. Then, for each
+modes, and the SHA-256 of every output file is recorded. For each workload
+at its first seed, each side runs the unchanged ``perfbench/run.py --trace
+1`` once, and the counts of that traced line (every per-layer metric not in
+seconds) are recorded, with the names of those that differ. Then, for each
 workload and seed, each pair runs the unchanged ``perfbench/run.py
 --trace 0`` once on each side, the parent first in even pairs and the
 change first in odd ones, so that a slow or fast spell of the host falls
@@ -16,7 +19,8 @@ on both sides alike. The output holds both sides' output digests, every
 run's last line, and per end-to-end metric each side's quartiles and
 median and the number of pairs the change won; which way is better comes
 from ``BENCHMARK.json``. The exit code is 1 if the two sides' output
-digests differ, or if any run failed its checks or exited non-zero.
+digests differ, or if any untraced run failed its checks or exited
+non-zero; the traced lines do not change it.
 """
 
 from __future__ import annotations
@@ -43,14 +47,30 @@ def git(*args: str, cwd: Path = ROOT) -> str:
                           text=True).stdout.strip()
 
 
-def bench(root: Path, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py --trace 0`` in ``root``: its last stdout line."""
+def bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One ``perfbench/run.py --trace <trace>`` in ``root``: its last stdout line."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     line = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     return {"exit": proc.returncode, "line": line}
+
+
+def traced_counts(roots: dict[str, Path], workload: str, seed: int,
+                  names: list[str]) -> dict:
+    """One traced run on each side of ``roots`` (keys ``parent`` and
+    ``change``): its exit code, its ``correct`` flag and the value of each
+    metric in ``names``; and the names whose values differ."""
+    out = {}
+    for side, root in roots.items():
+        res = bench(root, workload, seed, trace=1)
+        metrics = res["line"].get("metrics", {})
+        out[side] = {"exit": res["exit"], "correct": res["line"].get("correct"),
+                     "counts": {n: metrics[n]["value"] for n in names if n in metrics}}
+    parent, change = out["parent"]["counts"], out["change"]["counts"]
+    out["differ"] = [n for n in names if parent.get(n) != change.get(n)]
+    return out
 
 
 def output_digests(root: Path, scenarios=OUTPUT_SCENARIOS) -> dict[str, dict[str, str]]:
@@ -115,8 +135,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    counts = [m["name"] for m in declared["per_layer"] if m["unit"] != "s"]
     parent_commit = git("rev-parse", "--verify", args.parent + "^{commit}")
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0, alternating "
@@ -129,6 +150,7 @@ def main(argv=None) -> int:
         "machine": "%s, %d CPUs, Python %s" % (platform.platform(), os.cpu_count() or 0,
                                                platform.python_version()),
         "pairs": args.pairs,
+        "traced": {},
         "results": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -144,14 +166,21 @@ def main(argv=None) -> int:
         print("output digests of %s: %s" % (", ".join(sorted(outputs["change"])),
                                             "identical" if not failed else "DIFFER"),
               file=sys.stderr, flush=True)
+        roots = {"parent": parent_root, "change": ROOT}
         for workload in args.workload:
+            traced = traced_counts(roots, workload, args.seed[0], counts)
+            doc["traced"]["%s@%d" % (workload, args.seed[0])] = traced
+            print("%s seed %d traced: correct %s / %s, counts %s"
+                  % (workload, args.seed[0], traced["parent"]["correct"],
+                     traced["change"]["correct"],
+                     "differ: " + " ".join(traced["differ"]) if traced["differ"]
+                     else "identical"), file=sys.stderr, flush=True)
             for seed in args.seed:
                 runs = []
                 for pair in range(args.pairs):
                     order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                     for side in order:
-                        root = parent_root if side == "parent" else ROOT
-                        res = bench(root, workload, seed)
+                        res = bench(roots[side], workload, seed)
                         ok = res["exit"] == 0 and res["line"].get("correct") is True
                         failed |= not ok
                         runs.append({"pair": pair, "side": side, **res})
