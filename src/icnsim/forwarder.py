@@ -99,8 +99,6 @@ class ContentStore:
         self.stale_from = math.inf
 
     def lookup(self, now: float, name: Name) -> Data | None:
-        if not self.entries:
-            return None
         e = self.entries.get(name)
         if e is None:
             return None
@@ -243,71 +241,71 @@ class Forwarder:
     # -- packet pipeline ---------------------------------------------------
 
     def on_interest(self, now: float, face: int, interest: Interest) -> list[Action]:
-        admitted, entry = self._admit(now, face, interest)
-        if not admitted:
-            return []
-        c = self.counters
-        name = interest.name
-        data = self.cs.lookup(now, name)
-        if data is not None:
-            c.cs_hits += 1
-            return [(face, data)]
-        c.cs_misses += 1
-        if entry is not None:
-            entry.faces[face] = interest.nonce
-            return []
-        try:
-            fe = self._lpm_cache[name]
-        except KeyError:
-            fe = self.fib_longest_prefix_match(name)
-        hop = None
-        if fe is not None:
-            for f, _cost in fe.next_hops:
-                if f != face:
-                    hop = f
-                    break
-        if hop is None:
-            c.drop(DROP_NO_ROUTE)
-            return []
-        if interest.hop_limit <= 1:
-            # Forwarding would emit hop_limit 0, which is never legal.
-            c.drop(DROP_LOOP)
-            return []
-        self._pit_insert(now, face, interest)
-        return [(hop, interest.decremented())]
+        """Admission, then the content store, then ``_miss``.
 
-    def _admit(self, now: float, face: int,
-               interest: Interest) -> tuple[bool, PitEntry | None]:
-        """Face check and loop detection.
-
-        Returns whether the interest is admitted, and the live PIT entry
-        of its name. An entry read at or after its deadline has expired:
-        it is removed and counted as a timeout. An interest at hop limit
-        0, or whose nonce a live entry holds on any face, loops and is
-        dropped.
+        Admission checks the face and detects loops. An entry read at or
+        after its deadline has expired: it is removed and counted as a
+        timeout. An interest at hop limit 0, or whose nonce a live entry
+        holds on any face, loops and is dropped.
         """
         if face not in self.faces:
             raise UnknownFace(face)
         name = interest.name
         entry = self.pit.get(name)
-        if entry is not None and entry.deadline <= now:
-            del self.pit[name]
-            self.counters.pit_timeouts += 1
-            entry = None
-        if interest.hop_limit == 0 or (entry is not None
-                                       and interest.nonce in entry.faces.values()):
+        if entry is not None:
+            if entry.deadline <= now:
+                del self.pit[name]
+                self.counters.pit_timeouts += 1
+                entry = None
+            elif interest.nonce in entry.faces.values():
+                self.counters.drop(DROP_LOOP)
+                return []
+        if not interest.hop_limit:  # 0: the interest cannot be forwarded at all
             self.counters.drop(DROP_LOOP)
-            return False, None
-        return True, entry
+            return []
+        if self.cs.entries:
+            data = self.cs.lookup(now, name)
+            if data is not None:
+                self.counters.cs_hits += 1
+                return [(face, data)]
+        return self._miss(now, face, interest, entry)
+
+    def _miss(self, now: float, face: int, interest: Interest,
+              entry: PitEntry | None) -> list[Action]:
+        """An admitted interest the content store cannot answer: aggregate
+        it on the live PIT ``entry``, or forward it on the FIB's best hop
+        other than ``face``."""
+        self.counters.cs_misses += 1
+        if entry is not None:
+            entry.faces[face] = interest.nonce
+            return []
+        try:
+            fe = self._lpm_cache[interest.name]
+        except KeyError:
+            fe = self.fib_longest_prefix_match(interest.name)
+        if fe is not None:
+            for hop, _cost in fe.next_hops:
+                if hop != face:
+                    if interest.hop_limit <= 1:
+                        # Forwarding would emit hop_limit 0, which is never legal.
+                        self.counters.drop(DROP_LOOP)
+                        return []
+                    self._pit_insert(now, face, interest)
+                    return [(hop, interest.decremented())]
+        self.counters.drop(DROP_NO_ROUTE)
+        return []
 
     def _pit_insert(self, now: float, face: int, interest: Interest):
-        self.pit[interest.name] = PitEntry({face: interest.nonce},
-                                           now + interest.lifetime_ms)
+        # Built without __init__: both fields are set here.
+        entry = object.__new__(PitEntry)
+        entry.faces = {face: interest.nonce}
+        entry.deadline = now + interest.lifetime_ms
+        self.pit[interest.name] = entry
 
     def on_data(self, now: float, face: int, d: Data) -> list[Action]:
         if face not in self.faces:
             raise UnknownFace(face)
-        if not d.intact():
+        if not (d._intact or d.intact()):  # read the memo before hashing
             self.counters.drop(DROP_INTEGRITY)
             return []
         entry = self.pit.pop(d.name, None)
@@ -317,7 +315,8 @@ class Forwarder:
                 self.counters.pit_timeouts += 1
             self.counters.drop(DROP_UNSOLICITED)
             return []
-        self.cs_insert(now, d)
+        if not self.cs.insert(now, d)[0]:
+            self.counters.cs_rejections += 1
         out = []  # a loop, not a comprehension: one frame less per Data
         for f in entry.faces:
             if f != face:

@@ -12,9 +12,11 @@ that never reaches the Event.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from typing import Callable
 
 from .forwarder import DROP_NO_ROUTE, Counters, Forwarder
@@ -42,34 +44,23 @@ class _LinkDir:
 
     ``free_at`` never falls and the latency is fixed, so messages arrive
     in the order they were sent: each delivery event takes the head of
-    ``in_flight``, and one ``deliver``, bound once, serves them all.
+    ``in_flight``. ``deliver``, bound once, is the receiving host's
+    ``receive`` with this link as its first argument, and serves them all.
+    ``counters`` are the sending host's.
     """
 
-    __slots__ = ("net", "src", "dst", "latency_ms", "mbps", "free_at", "in_flight",
-                 "deliver")
+    __slots__ = ("src", "latency_ms", "mbps", "kbps", "free_at", "in_flight",
+                 "counters", "deliver")
 
-    def __init__(self, net: "Network", src: str, dst: str, latency_ms: float,
-                 mbps: float):
-        self.net = net
-        self.src = src
-        self.dst = dst
+    def __init__(self, src: "Host", dst: "Host", latency_ms: float, mbps: float):
+        self.src = src.id
         self.latency_ms = latency_ms
         self.mbps = mbps
+        self.kbps = mbps * 1000.0
         self.free_at = 0.0
         self.in_flight: deque = deque()  # (msg, nbytes), in send order
-        self.deliver = self._deliver
-
-    def _deliver(self, now: float):
-        msg, nbytes = self.in_flight.popleft()
-        net = self.net
-        h = net.hosts.get(self.dst)
-        if h is None:
-            return
-        if net.delivery_filter is not None:
-            msg = net.delivery_filter(now, self.src, self.dst, msg)
-            if msg is None:
-                return
-        h.receive(now, self.src, msg, nbytes)
+        self.counters = src.counters
+        self.deliver = partial(dst.receive, self)
 
 
 @dataclass(slots=True)
@@ -108,8 +99,7 @@ class Network:
         self._links: dict[tuple[str, str], _LinkDir] = {}
         self._adj: dict[str, list[tuple[str, float]]] = {}
         self._heap: list[tuple[float, int, Event]] = []
-        self._seq = 0
-        self._pending_real = 0
+        self._next_seq = itertools.count().__next__
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self.delivery_filter: Callable | None = None
 
@@ -122,36 +112,34 @@ class Network:
         ev.fn = fn
         ev.real = real
         ev.cancelled = False
-        heapq.heappush(self._heap, (at, self._seq, ev))
-        self._seq += 1
-        if real:
-            self._pending_real += 1
+        heappush(self._heap, (at, self._next_seq(), ev))
         return ev
 
     def cancel(self, ev: Event):
-        if not ev.cancelled:
-            ev.cancelled = True
-            if ev.real:
-                self._pending_real -= 1
+        ev.cancelled = True
 
     def active(self) -> bool:
-        """True while real (non-housekeeping) events are still pending."""
-        return self._pending_real > 0
+        """True while real (non-housekeeping) events are still pending.
+
+        A scan that stops at the first such event: the housekeeping ticks
+        that ask are few, and nearly every pending event is real."""
+        for _at, _seq, ev in self._heap:
+            if ev.real and not ev.cancelled:
+                return True
+        return False
 
     def run_to_completion(self) -> float:
         heap = self._heap
-        horizon = self.horizon_ms
+        horizon = INFINITY if self.horizon_ms is None else self.horizon_ms
         while heap:
-            at, _seq, ev = heapq.heappop(heap)
+            at, _seq, ev = heappop(heap)
             if ev.cancelled:
                 continue
-            if horizon is not None and at > horizon:
+            if at > horizon:
                 raise HorizonExceeded(
                     "event at %.3f ms beyond horizon %.3f ms" % (at, horizon))
             self.now = at
             ev.cancelled = True  # spent: cancelling it later changes nothing
-            if ev.real:
-                self._pending_real -= 1
             ev.fn(at)
         return self.now
 
@@ -170,6 +158,7 @@ class Network:
         host = self.hosts.pop(node, None)
         if host is None:
             return
+        host.removed = True
         for peer, _lat in list(self._adj.get(node, [])):
             self._drop_link_pair(node, peer)
         self._adj.pop(node, None)
@@ -184,8 +173,9 @@ class Network:
             raise ValueError("bandwidth must be > 0")
         if latency_ms < 0:
             raise ValueError("latency must be >= 0")
-        self._links[(a, b)] = _LinkDir(self, a, b, latency_ms, bandwidth_mbps)
-        self._links[(b, a)] = _LinkDir(self, b, a, latency_ms, bandwidth_mbps)
+        ha, hb = self.hosts[a], self.hosts[b]
+        self._links[(a, b)] = _LinkDir(ha, hb, latency_ms, bandwidth_mbps)
+        self._links[(b, a)] = _LinkDir(hb, ha, latency_ms, bandwidth_mbps)
         self._adj[a].append((b, latency_ms))
         self._adj[b].append((a, latency_ms))
         self.hosts[a].attach_link_face(b)
@@ -224,7 +214,7 @@ class Network:
         pq: list[tuple[float, str, int, str]] = [(0.0, src, 0, "")]
         done: set[str] = set()
         while pq:
-            d, node, _c, via = heapq.heappop(pq)
+            d, node, _c, via = heappop(pq)
             if node in done:
                 continue
             done.add(node)
@@ -235,7 +225,7 @@ class Network:
                 if peer not in dist or nd < dist[peer]:
                     dist[peer] = nd
                     counter += 1
-                    heapq.heappush(pq, (nd, peer, counter, via if via else peer))
+                    heappush(pq, (nd, peer, counter, via if via else peer))
         out = (dist, first)
         self._route_cache[src] = out
         return out
@@ -253,20 +243,19 @@ class Network:
     # -- transmission --------------------------------------------------------
 
     def send(self, src: str, dst: str, nbytes: int, msg) -> bool:
-        link = self._links.get((src, dst))
-        shost = self.hosts[src]
-        if link is None:
-            shost.counters.drop(DROP_NO_ROUTE)
+        try:
+            link = self._links[src, dst]
+        except KeyError:
+            self.hosts[src].counters.drop(DROP_NO_ROUTE)
             return False
-        start = self.now if self.now > link.free_at else link.free_at
-        ser = nbytes * 8.0 / (link.mbps * 1000.0)
-        link.free_at = start + ser
-        at = link.free_at + link.latency_ms
-        c = shost.counters
-        c.tx_pkts += 1
-        c.tx_bytes += nbytes
+        start = self.now
+        if start < link.free_at:
+            start = link.free_at
+        link.free_at = start = start + nbytes * 8.0 / link.kbps
+        link.counters.tx_pkts += 1
+        link.counters.tx_bytes += nbytes
         link.in_flight.append((msg, nbytes))
-        self.schedule(at, link.deliver)
+        self.schedule(start + link.latency_ms, link.deliver)
         return True
 
 
@@ -280,7 +269,7 @@ class Host:
     __slots__ = ("net", "id", "role", "fwd", "origin", "packet_ms", "cpu_ms",
                  "counters", "faces", "face_by_peer", "apps", "_next_face",
                  "origin_timeout_ms", "_fetches", "_next_rid",
-                 "_ip_waiters", "publish_hook")
+                 "_ip_waiters", "publish_hook", "removed")
 
     def __init__(self, net: Network, node_id: str, role: str = "host",
                  fwd: Forwarder | None = None, origin: CdnOrigin | None = None,
@@ -303,6 +292,7 @@ class Host:
         self._next_rid = 0
         self._ip_waiters: dict[int, Callable] = {}
         self.publish_hook: Callable | None = None
+        self.removed = False  # set by Network.remove_host
 
     # -- faces ---------------------------------------------------------------
 
@@ -358,43 +348,54 @@ class Host:
 
     # -- packet handling -------------------------------------------------------
 
-    def receive(self, now: float, src: str, msg, nbytes: int):
-        c = self.counters
-        c.rx_pkts += 1
-        c.rx_bytes += nbytes
-        kind = type(msg)
-        if kind is Interest or kind is WireData:
-            face = self.face_by_peer.get(src)
-            if face is None or self.fwd is None:
-                c.drop(DROP_NO_ROUTE)
+    def receive(self, link: _LinkDir, now: float):
+        """Take the message at the head of ``link`` off it and handle it.
+
+        A host removed from the network takes nothing, and the network's
+        ``delivery_filter``, if set, may rewrite or drop the message first;
+        either way it is not counted as received.
+        """
+        msg, nbytes = link.in_flight.popleft()
+        if self.removed:
+            return
+        if self.net.delivery_filter is not None:
+            msg = self.net.delivery_filter(now, link.src, self.id, msg)
+            if msg is None:
                 return
-            if kind is Interest:
-                self._emit(self.fwd.on_interest(now, face, msg), self.id)
-            else:
-                self._emit(self.fwd.on_data(now, face, msg.data), msg.served_by)
+        self.counters.rx_pkts += 1
+        self.counters.rx_bytes += nbytes
+        # ``face_by_peer`` holds ``link.src``: adding the link gave it a face.
+        kind = type(msg)
+        if kind is Interest and self.fwd is not None:
+            self._emit(now, self.fwd.on_interest(now, self.face_by_peer[link.src], msg),
+                       self.id)
+        elif kind is WireData and self.fwd is not None:
+            self._emit(now, self.fwd.on_data(now, self.face_by_peer[link.src], msg.data),
+                       msg.served_by)
+        elif kind is Interest or kind is WireData:
+            self.counters.drop(DROP_NO_ROUTE)  # an NDN packet at a host with no forwarder
         else:
             self._handle_ip(now, msg, nbytes)
 
-    def _emit(self, actions, served_by: str):
+    def _emit(self, now: float, actions, served_by: str):
         """Send each ``(face, packet)`` pair, or hand a Data to the app on
         its face; a PendingFetch starts an origin fetch."""
         for face, p in actions:
             t = type(p)
             if t is Data:
-                cb = self.apps.get(face)
-                if cb is not None:
-                    cb(self.net.now, p, served_by)
+                if face in self.apps:
+                    self.apps[face](now, p, served_by)
                 else:
                     wire = object.__new__(WireData)
                     wire.data = p
                     wire.served_by = served_by
                     self.net.send(self.id, self.faces[face], p.wire_len, wire)
             elif t is Interest:
-                peer = self.faces.get(face)
-                if peer is not None:
-                    self.net.send(self.id, peer, p.name._wire_len + INTEREST_FIELDS_LEN, p)
+                if face in self.faces:
+                    self.net.send(self.id, self.faces[face],
+                                  p.name._wire_len + INTEREST_FIELDS_LEN, p)
             else:
-                self._start_fetch(self.net.now, p)
+                self._start_fetch(now, p)
 
     # -- IP side ---------------------------------------------------------------
 
@@ -466,7 +467,7 @@ class Host:
                                                     msg.payload)
         if self.publish_hook is not None:
             self.publish_hook(pf.content_id, pf.resolution, len(msg.payload), now - started)
-        self._emit(actions, self.id)
+        self._emit(now, actions, self.id)
 
 
 @dataclass(slots=True)
@@ -587,6 +588,7 @@ class Population(_Consumers):
         if not 0 <= lifetime_ms <= U32_MAX:
             raise ValueError("lifetime out of u32 range")
         self.seg_count = seg_count
+        self._last_seg = seg_count - 1
         self.retransmit_ms = retransmit_ms
         self.window = window
         self.lifetime_ms = lifetime_ms
@@ -597,6 +599,7 @@ class Population(_Consumers):
         self._draining = False
         self._watchdog_on = False
         self._seg_names = [content.segment(i) for i in range(seg_count)]
+        self._nonce = rng.getrandbits  # one 64-bit draw per interest issued
 
     # -- request lifecycle ------------------------------------------------------
 
@@ -605,15 +608,16 @@ class Population(_Consumers):
         self._advance(now, _Request(rid, now))
 
     def _advance(self, now: float, req: _Request):
-        while (not req.done and req.next_seg - req.got < self.window
-               and req.next_seg < self.seg_count):
+        # An interest issued here can be answered at once, and that answer
+        # can end or advance ``req``: its fields are read afresh each round.
+        while True:
             seg = req.next_seg
-            req.next_seg += 1
+            if seg - req.got >= self.window or seg >= self.seg_count or req.done:
+                return
+            req.next_seg = seg + 1
             name = self._seg_names[seg]
             entry = self.outstanding.get(name)
-            if entry is not None:
-                entry.waiters.append(req)
-            else:
+            if entry is None:
                 entry = object.__new__(_Outstanding)
                 entry.seg = seg
                 entry.last_issue = now
@@ -621,6 +625,8 @@ class Population(_Consumers):
                 entry.waiters = [req]
                 self.outstanding[name] = entry
                 self._issue_interest(name)
+            else:
+                entry.waiters.append(req)
 
     def _issue_interest(self, name: Name):
         """Feed an interest for ``name`` into the host's forwarder on the
@@ -629,11 +635,12 @@ class Population(_Consumers):
         # the population was made and the default hop limit are all valid.
         interest = object.__new__(Interest)
         interest.name = name
-        interest.nonce = self.rng.getrandbits(64)
+        interest.nonce = self._nonce(64)
         interest.lifetime_ms = self.lifetime_ms
         interest.hop_limit = DEFAULT_HOP_LIMIT
         host = self.host
-        host._emit(host.fwd.on_interest(self.net.now, self.app_face, interest), host.id)
+        now = self.net.now
+        host._emit(now, host.fwd.on_interest(now, self.app_face, interest), host.id)
 
     def _end(self, now: float, req: _Request, status: str):
         req.done = True
@@ -646,39 +653,36 @@ class Population(_Consumers):
         """Take one Data. A Data handed over while an earlier one is being
         processed (an interest it issues can hit the local content store)
         waits in the inbox, so Data are processed one at a time, in order."""
-        inbox = self._inbox
-        inbox.append((now, data, served_by))
         if self._draining:
+            self._inbox.append((now, data, served_by))
             return
         self._draining = True
         try:
-            while inbox:
-                now, data, served_by = inbox.popleft()
+            while True:
                 # The forwarder memoized the check; a Data put in a store by
-                # hand has no memo yet and is hashed here.
-                ok = data._intact
-                if ok is None:
-                    ok = data.intact()
-                if not ok or data.final_segment != self.seg_count - 1:
-                    # Should have been dropped upstream. Treat it as a loss: the
-                    # entry stays and the watchdog retransmits it under max_attempts.
-                    continue
-                entry = self.outstanding.pop(data.name, None)
-                if entry is None:
-                    continue  # late duplicate
-                seg = entry.seg
-                size = len(data.payload)
-                for req in entry.waiters:
-                    if req.done:
-                        continue
-                    req.got += 1
-                    req.nbytes += size
-                    if seg == 0:
-                        req.served_by = served_by
-                    if req.got == self.seg_count:
-                        self._end(now, req, "ok")
-                    else:
-                        self._advance(now, req)
+                # hand has no memo yet and is hashed here. A Data that fails
+                # it or names another last segment should have been dropped
+                # upstream: it is a loss, so its entry stays and the watchdog
+                # retransmits it under max_attempts.
+                if (data._intact or data.intact()) and data.final_segment == self._last_seg:
+                    entry = self.outstanding.pop(data.name, None)
+                    if entry is not None:  # else a late duplicate
+                        seg = entry.seg
+                        size = len(data.payload)
+                        for req in entry.waiters:
+                            if req.done:
+                                continue
+                            req.got += 1
+                            req.nbytes += size
+                            if seg == 0:
+                                req.served_by = served_by
+                            if req.got == self.seg_count:
+                                self._end(now, req, "ok")
+                            else:
+                                self._advance(now, req)
+                if not self._inbox:
+                    return
+                now, data, served_by = self._inbox.popleft()
         finally:
             self._draining = False
 

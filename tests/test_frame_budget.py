@@ -29,8 +29,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # a population built its content URI once rather than per record (-9 per
 # record of a three-component name: 6 in each mode) and read the Data's
 # memoized digest check rather than calling ``intact()`` (-1 per Data a
-# consumer takes: 6 in icn).
-FRAMES = {"icn": 454, "cdn-only": 457}
+# consumer takes: 6 in icn); 454 and 457 before a delivery event called the
+# receiving host's ``receive`` directly (-1 per delivery: 18 in icn, 36 in
+# cdn-only) and, in icn, the forwarder admitted an interest inline (-14),
+# read the content store only when it holds something (-8), built the PIT
+# entry without ``__init__`` (-10), read the Data's digest memo in
+# ``on_data`` (-6) and inserted into the store without ``cs_insert`` (-8),
+# while a content-store miss now goes through one ``_miss`` step (+10).
+FRAMES = {"icn": 400, "cdn-only": 421}
 
 COUNT = r"""
 import sys

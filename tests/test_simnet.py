@@ -76,6 +76,40 @@ def test_tx_rx_counters():
     assert hosts["b"].counters.rx_bytes == 500
 
 
+def test_message_to_a_removed_host_is_not_received():
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
+    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.schedule(1.0, lambda t: net.remove_host("b"))
+    net.run_to_completion()
+    assert hosts["a"].counters.tx_pkts == 1
+    assert hosts["b"].counters.rx_pkts == 0
+    assert hosts["b"].counters.rx_bytes == 0
+
+
+def test_message_on_a_removed_link_between_live_hosts_is_delivered():
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
+    seen = []
+    net.delivery_filter = lambda now, src, dst, msg: (seen.append((src, dst)), msg)[1]
+    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.schedule(1.0, lambda t: net.remove_link("a", "b"))
+    net.run_to_completion()
+    assert not net.has_link("a", "b")
+    assert seen == [("a", "b")]
+    assert hosts["b"].counters.rx_pkts == 1
+    assert hosts["b"].counters.rx_bytes == 500
+
+
+def test_delivery_dropped_by_the_filter_counts_no_rx():
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 1.0, 100.0)])
+    net.delivery_filter = lambda now, src, dst, msg: None
+    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.run_to_completion()
+    assert hosts["a"].counters.tx_pkts == 1
+    assert hosts["b"].counters.rx_pkts == 0
+    assert hosts["b"].counters.rx_bytes == 0
+    assert not hosts["b"].counters.drops
+
+
 def test_horizon_exceeded():
     net = Network(horizon_ms=10.0)
     net.schedule(5.0, lambda t: None)
@@ -138,9 +172,10 @@ PAIRS = (("a", "b"), ("b", "c"), ("a", "c"))
 
 
 class _Sink(Host):
-    """A host that only logs what reaches it."""
+    """A host that only logs the messages it receives; each is an int, so
+    ``Host.receive`` hands it to the IP handler after its delivery checks."""
 
-    def receive(self, now, src, msg, nbytes):
+    def _handle_ip(self, now, msg, nbytes):
         self.log.append((now, self.id, msg))
 
 

@@ -11,16 +11,18 @@ temporary directory. First each side runs ``icnsim run`` on
 modes, and the SHA-256 of every output file is recorded. For each workload
 at its first seed, each side runs the unchanged ``perfbench/run.py --trace
 1`` once, and the counts of that traced line (every per-layer metric not in
-seconds) are recorded, with the names of those that differ. Then, for each
-workload and seed, each pair runs the unchanged ``perfbench/run.py
---trace 0`` once on each side, the parent first in even pairs and the
-change first in odd ones, so that a slow or fast spell of the host falls
-on both sides alike. The output holds both sides' output digests, every
-run's last line, and per end-to-end metric each side's quartiles and
-median and the number of pairs the change won; which way is better comes
-from ``BENCHMARK.json``. The exit code is 1 if the two sides' output
-digests differ, or if any untraced run failed its checks or exited
-non-zero; the traced lines do not change it.
+seconds) are recorded, with the names of those that differ, and
+``tools/pathcount.py`` (frames only) counts that workload's Python frames
+per consumer interest on each side's ``src``. Then, for each workload and
+seed, each pair runs the unchanged ``perfbench/run.py --trace 0`` once on
+each side, the parent first in even pairs and the change first in odd
+ones, so that a slow or fast spell of the host falls on both sides alike.
+The output holds both sides' output digests, every run's last line, and
+per end-to-end metric each side's quartiles and median and the number of
+pairs the change won; which way is better comes from ``BENCHMARK.json``.
+The exit code is 1 if the two sides' output digests differ, or if any
+untraced run failed its checks or exited non-zero; the traced lines and
+the frame counts do not change it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_SCENARIOS = ("mini", "reference")
 OUTPUT_MODES = ("icn", "cdn-only")
 RUN_CLI = "import sys; from icnsim.cli import main; sys.exit(main(sys.argv[1:]))"
+WRITE_WORKLOAD = ("import json, sys; from pathlib import Path; sys.path.insert(0, 'perfbench'); "
+                  "import workloads; Path(sys.argv[3]).write_text(json.dumps("
+                  "workloads.generate(sys.argv[1], Path('.'), int(sys.argv[2]))))")
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -70,6 +75,28 @@ def traced_counts(roots: dict[str, Path], workload: str, seed: int,
                      "counts": {n: metrics[n]["value"] for n in names if n in metrics}}
     parent, change = out["parent"]["counts"], out["change"]["counts"]
     out["differ"] = [n for n in names if parent.get(n) != change.get(n)]
+    return out
+
+
+def path_frames(roots: dict[str, Path], workload: str, seed: int) -> dict:
+    """``tools/pathcount.py`` on ``workload`` at ``seed``, as each side's
+    ``perfbench/workloads.py`` writes it, with each side's ``src``: the
+    totals line of each side (frames, consumer interests and frames per
+    interest), or its exit code if it failed."""
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="bench-pathcount-") as tmp:
+        for side, root in roots.items():
+            scenario = Path(tmp) / ("%s.json" % side)
+            proc = subprocess.run([sys.executable, "-c", WRITE_WORKLOAD, workload, str(seed),
+                                   str(scenario)], cwd=root, capture_output=True)
+            if proc.returncode == 0:
+                proc = subprocess.run(
+                    [sys.executable, str(ROOT / "tools" / "pathcount.py"), str(scenario),
+                     "--top", "0"], cwd=root, capture_output=True, text=True,
+                    env=dict(os.environ, PYTHONPATH=str(root / "src")))
+            lines = proc.stdout.strip().splitlines() if proc.returncode == 0 else []
+            out[side] = (json.loads(lines[-1]) if lines and lines[-1].startswith("{")
+                         else {"exit": proc.returncode})
     return out
 
 
@@ -151,6 +178,7 @@ def main(argv=None) -> int:
                                                platform.python_version()),
         "pairs": args.pairs,
         "traced": {},
+        "pathcount": {},
         "results": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -175,6 +203,11 @@ def main(argv=None) -> int:
                      traced["change"]["correct"],
                      "differ: " + " ".join(traced["differ"]) if traced["differ"]
                      else "identical"), file=sys.stderr, flush=True)
+            frames = path_frames(roots, workload, args.seed[0])
+            doc["pathcount"]["%s@%d" % (workload, args.seed[0])] = frames
+            print("%s seed %d frames per consumer interest: parent %s, change %s"
+                  % (workload, args.seed[0], frames["parent"].get("frames_per_interest"),
+                     frames["change"].get("frames_per_interest")), file=sys.stderr, flush=True)
             for seed in args.seed:
                 runs = []
                 for pair in range(args.pairs):
