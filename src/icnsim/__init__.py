@@ -8,18 +8,16 @@ that reproduces the delivery-time, throughput, load and resource-usage
 measurements of the integrated architecture.
 """
 
-from .forwarder import Counters, DuplicateFace, Forwarder, UnknownFace, UnknownPrefix
+from .forwarder import Counters, DuplicateFace, Forwarder, UnknownFace
 from .gateway import EmptyCandidates, Gateway, OriginRef, PendingFetch, select_gateway
 from .harness import SimRun, build_and_run, publish_bench, run_scenario
-from .ndn import (Data, Interest, MalformedPacket, MalformedUri, Name,
-                  PacketCodecError, TruncatedPacket, UnknownType, chunk_content,
-                  compute_digest, data_wire_len, decode_packet, encode_packet,
-                  hash_stream, interest_wire_len, make_data)
+from .ndn import (Data, Interest, MalformedUri, Name, chunk_content, compute_digest,
+                  data_wire_len, hash_stream, make_data)
 from .orchestration import (DomainSpec, Flavor, Knobs, Orchestrator, QuotaExceeded,
                             SliceSpec, UnknownSlice, Vim, VnfSpec, slice_faults)
 from .origin import (CdnOrigin, ContentObject, DuplicateContent, DuplicateVariant,
                      ResolutionProfile, UnknownContent, synthesize_payload)
-from .scenario import Scenario, ScenarioError, load_scenario, validate_doc
+from .scenario import Scenario, ScenarioError, load_scenario
 from .simnet import (Host, HorizonExceeded, IpPopulation, Network, Population,
                      RequestRecord)
 

@@ -31,10 +31,6 @@ class DuplicateFace(ValueError):
     pass
 
 
-class UnknownPrefix(LookupError):
-    pass
-
-
 # A packet to send and the face to send it on.
 Action = tuple[int, Interest | Data]
 
@@ -201,12 +197,6 @@ class Forwarder:
         self._fib[prefix] = FibEntry(prefix, sorted(next_hops, key=lambda h: (h[1], h[0])))
         self._lpm_cache.clear()
 
-    def fib_remove(self, prefix: Name):
-        if prefix not in self._fib:
-            raise UnknownPrefix(prefix)
-        del self._fib[prefix]
-        self._lpm_cache.clear()
-
     def fib_add_next_hop(self, prefix: Name, face: int, cost: int):
         e = self._fib.get(prefix)
         if e is None:
@@ -324,12 +314,6 @@ class Forwarder:
         return out
 
     # -- table maintenance -------------------------------------------------
-
-    def cs_insert(self, now: float, d: Data) -> list[Name]:
-        accepted, evicted = self.cs.insert(now, d)
-        if not accepted:
-            self.counters.cs_rejections += 1
-        return evicted
 
     def pit_expire(self, now: float) -> list[Name]:
         """Remove the entries past their deadline. Reads already treat them

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import metrics
 from .metrics import Sample
@@ -52,11 +53,11 @@ class _Sampler:
     counts only live ones."""
 
     def __init__(self, net: Network, bucket_ms: float, samples: list[Sample],
-                 populations: list):
+                 live: Callable[[], bool]):
         self.net = net
         self.bucket_ms = bucket_ms
         self.samples = samples
-        self.populations = populations
+        self.live = live
         self._last = 0.0
         self._marks: dict[str, tuple[float, int, int]] = {}  # node -> (busy, rx, tx)
 
@@ -82,7 +83,7 @@ class _Sampler:
 
     def _tick(self, now: float):
         self._flush(now, self.bucket_ms)
-        if self.net.active() or any(not p.finished() for p in self.populations):
+        if self.live():
             self.net.schedule(now + self.bucket_ms, self._tick, real=False)
 
     def final_flush(self, now: float):
@@ -177,14 +178,19 @@ def build_and_run(scenario: Scenario) -> SimRun:
         host.publish_hook = (lambda cid, res, size, ms:
                              publishes.append((cid, res, size, ms)))
 
-    sampler = _Sampler(net, knobs.bucket_ms, samples, populations)
+    def live() -> bool:
+        """Traffic is in flight or a population has requests left; the
+        periodic ticks reschedule themselves only while this holds."""
+        return net.active() or any(not p.finished() for p in populations)
+
+    sampler = _Sampler(net, knobs.bucket_ms, samples, live)
 
     def scale_tick(now):
         for sid in list(orch.slices):
             inst = orch.scale_check(sid, now)
             if inst is not None:
                 orch.handle_scale(sid, inst)
-        if net.active() or any(not p.finished() for p in populations):
+        if live():
             net.schedule(now + knobs.scale_window_ms, scale_tick, real=False)
 
     for pop in populations:

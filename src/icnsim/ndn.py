@@ -1,8 +1,8 @@
 """Named-data primitives shared by every ICN-side component.
 
 Hierarchical content names, the two NDN packet kinds (interest and data),
-a fixed binary TLV wire codec, content chunking into segment packets, and
-payload digests (SHA-256).
+their encoded lengths, content chunking into segment packets, and payload
+digests (SHA-256).
 
 Wire format (big endian). Every TLV is ``type(1 byte) + length(4 bytes,
 u32) + value``, nested TLVs included:
@@ -14,7 +14,9 @@ u32) + value``, nested TLVs included:
 
 Field order is fixed as listed; an absent FinalSegment is omitted
 entirely. The encoded length of a packet is what the network layer
-charges against link bandwidth.
+charges against link bandwidth; a run computes it from this format and
+never builds the bytes. The codec in ``tests/ndn_codec.py`` encodes and
+decodes it, as the tests' oracle for these lengths.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-import struct
 import weakref
 from dataclasses import dataclass, field
 
@@ -36,23 +37,6 @@ DEFAULT_HOP_LIMIT = 32
 DEFAULT_CHUNK_SIZE = 8192
 DIGEST_LEN = 32
 
-TT_INTEREST = 0x05
-TT_DATA = 0x06
-TT_NAME = 0x07
-TT_COMPONENT = 0x08
-TT_NONCE = 0x0A
-TT_LIFETIME = 0x0C
-TT_HOP_LIMIT = 0x22
-TT_PAYLOAD = 0x15
-TT_DIGEST = 0x1D
-TT_FRESHNESS = 0x19
-TT_FINAL_SEGMENT = 0x1A
-
-_KNOWN_TYPES = frozenset({
-    TT_INTEREST, TT_DATA, TT_NAME, TT_COMPONENT, TT_NONCE, TT_LIFETIME,
-    TT_HOP_LIMIT, TT_PAYLOAD, TT_DIGEST, TT_FRESHNESS, TT_FINAL_SEGMENT,
-})
-
 _SEG_PREFIX = b"seg="
 _SEG_RE = re.compile(rb"\Aseg=(0|[1-9][0-9]*)\Z")
 # Unreserved URI characters plus '=' so segment components render bare.
@@ -64,22 +48,6 @@ _HEXDIGITS = frozenset(b"0123456789abcdefABCDEF")
 
 class MalformedUri(ValueError):
     """Name text or component set violates the naming rules."""
-
-
-class PacketCodecError(ValueError):
-    """Base class for wire decode failures."""
-
-
-class TruncatedPacket(PacketCodecError):
-    pass
-
-
-class UnknownType(PacketCodecError):
-    pass
-
-
-class MalformedPacket(PacketCodecError):
-    pass
 
 
 def _decode_percent(raw: bytes) -> bytes:
@@ -185,9 +153,6 @@ class Name:
     def is_prefix_of(self, other: "Name") -> bool:
         k = len(self.components)
         return self.components == other.components[:k]
-
-    def child(self, component: bytes) -> "Name":
-        return Name(self.components + (component,))
 
     def segment(self, n: int) -> "Name":
         """Return this name with a ``seg=<n>`` component appended."""
@@ -354,11 +319,6 @@ def hash_stream(key: bytes, length: int) -> bytes:
 INTEREST_FIELDS_LEN = 5 + 13 + 9 + 6
 
 
-def interest_wire_len(i: Interest) -> int:
-    """Encoded byte length of an interest, without building the bytes."""
-    return i.name._wire_len + INTEREST_FIELDS_LEN
-
-
 def data_wire_len(d: Data) -> int:
     """Encoded byte length of a data packet, without building the bytes;
     ``Data.wire_len`` holds it."""
@@ -366,97 +326,3 @@ def data_wire_len(d: Data) -> int:
     if d.final_segment is not None:
         n += 9
     return n
-
-
-def _tlv(tt: int, value: bytes) -> bytes:
-    return struct.pack(">BI", tt, len(value)) + value
-
-
-def encode_packet(p: Interest | Data) -> bytes:
-    if isinstance(p, Interest):
-        name = b"".join(_tlv(TT_COMPONENT, c) for c in p.name.components)
-        body = (
-            _tlv(TT_NAME, name)
-            + _tlv(TT_NONCE, p.nonce.to_bytes(8, "big"))
-            + _tlv(TT_LIFETIME, p.lifetime_ms.to_bytes(4, "big"))
-            + _tlv(TT_HOP_LIMIT, bytes((p.hop_limit,)))
-        )
-        return _tlv(TT_INTEREST, body)
-    if isinstance(p, Data):
-        name = b"".join(_tlv(TT_COMPONENT, c) for c in p.name.components)
-        body = (
-            _tlv(TT_NAME, name)
-            + _tlv(TT_PAYLOAD, p.payload)
-            + _tlv(TT_DIGEST, p.digest)
-            + _tlv(TT_FRESHNESS, p.freshness_ms.to_bytes(4, "big"))
-        )
-        if p.final_segment is not None:
-            body += _tlv(TT_FINAL_SEGMENT, p.final_segment.to_bytes(4, "big"))
-        return _tlv(TT_DATA, body)
-    raise TypeError("not a packet: %r" % (p,))
-
-
-def _read_header(buf: memoryview, pos: int) -> tuple[int, int, int]:
-    if pos + 5 > len(buf):
-        raise TruncatedPacket("tlv header at %d overruns buffer" % pos)
-    tt, ln = struct.unpack_from(">BI", buf, pos)
-    if pos + 5 + ln > len(buf):
-        raise TruncatedPacket("tlv value at %d overruns buffer" % pos)
-    return tt, ln, pos + 5
-
-
-def _expect(buf: memoryview, pos: int, want: int, fixed_len: int | None = None) -> tuple[bytes, int]:
-    tt, ln, vpos = _read_header(buf, pos)
-    if tt != want:
-        if tt not in _KNOWN_TYPES:
-            raise UnknownType("unknown tlv type 0x%02x" % tt)
-        raise MalformedPacket("expected tlv 0x%02x, found 0x%02x" % (want, tt))
-    if fixed_len is not None and ln != fixed_len:
-        raise MalformedPacket("tlv 0x%02x must be %d bytes, got %d" % (want, fixed_len, ln))
-    return bytes(buf[vpos : vpos + ln]), vpos + ln
-
-
-def _decode_name(value: bytes) -> Name:
-    buf = memoryview(value)
-    comps = []
-    pos = 0
-    while pos < len(buf):
-        comp, pos = _expect(buf, pos, TT_COMPONENT)
-        comps.append(comp)
-    try:
-        return Name(tuple(comps))
-    except MalformedUri as e:
-        raise MalformedPacket("invalid name on the wire: %s" % e) from e
-
-
-def decode_packet(b: bytes) -> Interest | Data:
-    buf = memoryview(b)
-    if len(buf) < 5:
-        raise TruncatedPacket("packet shorter than one tlv header")
-    tt, ln, vpos = _read_header(buf, 0)
-    if tt not in (TT_INTEREST, TT_DATA):
-        raise UnknownType("unknown outer tlv type 0x%02x" % tt)
-    if vpos + ln != len(buf):
-        raise MalformedPacket("trailing bytes after outer tlv")
-    body = buf[vpos : vpos + ln]
-    pos = 0
-    name_v, pos = _expect(body, pos, TT_NAME)
-    name = _decode_name(name_v)
-    if tt == TT_INTEREST:
-        nonce, pos = _expect(body, pos, TT_NONCE, 8)
-        lifetime, pos = _expect(body, pos, TT_LIFETIME, 4)
-        hop, pos = _expect(body, pos, TT_HOP_LIMIT, 1)
-        if pos != len(body):
-            raise MalformedPacket("trailing bytes inside interest")
-        return Interest(name, int.from_bytes(nonce, "big"),
-                        int.from_bytes(lifetime, "big"), hop[0])
-    payload, pos = _expect(body, pos, TT_PAYLOAD)
-    digest, pos = _expect(body, pos, TT_DIGEST, DIGEST_LEN)
-    freshness, pos = _expect(body, pos, TT_FRESHNESS, 4)
-    final = None
-    if pos < len(body):
-        final_v, pos = _expect(body, pos, TT_FINAL_SEGMENT, 4)
-        final = int.from_bytes(final_v, "big")
-    if pos != len(body):
-        raise MalformedPacket("trailing bytes inside data")
-    return Data(name, payload, digest, int.from_bytes(freshness, "big"), final)

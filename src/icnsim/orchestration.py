@@ -445,17 +445,3 @@ class Orchestrator:
                         other.fwd.fib_add_next_hop(e.prefix, to_new, cost)
         self.log.append("scale out: slice %d added %s" % (sid, node))
         return inst
-
-    # -- invariants -------------------------------------------------------------
-
-    def quota_snapshot(self) -> dict[str, tuple[int, int, int]]:
-        """remaining + live allocations per domain, for conservation checks."""
-        out = {}
-        for name, vim in self.vims.items():
-            live = [0, 0, 0]
-            for a in vim.live.values():
-                live[0] += a.flavor.vcpus
-                live[1] += a.flavor.ram_mb
-                live[2] += a.flavor.disk_gb
-            out[name] = tuple(r + l for r, l in zip(vim.remaining, live))
-        return out

@@ -2,10 +2,10 @@
 
 A scenario is one JSON document that fully determines a run: seed,
 domains, underlay topology, content catalog, the ordered northbound
-request list, consumer populations and tuning knobs. ``validate_doc``
+request list, consumer populations and tuning knobs. ``parse_doc``
 performs the full static check (references, invariants, static quota
-feasibility) without running anything and returns machine-readable
-diagnostics.
+feasibility) without running anything and returns the scenario and
+machine-readable diagnostics.
 """
 
 from __future__ import annotations
@@ -510,7 +510,3 @@ def load_scenario(path: str | Path, sets: list[str] = ()) -> tuple[Scenario | No
         return None, diags
     return parse_doc(doc, name=p.stem)
 
-
-def validate_doc(doc: dict) -> list[Diagnostic]:
-    _scenario, diags = parse_doc(doc)
-    return diags

@@ -425,14 +425,14 @@ class Host:
             self.counters.drop(DROP_NO_ROUTE)
             return
         try:
-            payload = self.origin.stream(msg.content_id, msg.resolution)
+            obj = self.origin.get(msg.content_id, msg.resolution)
         except UnknownContent:
             resp = IpResponse(self.id, msg.src, msg.request_id, None, b"\0" * 32,
                               "UnknownContent")
             self.send_ip(resp, IP_REQUEST_BYTES)
             return
-        digest = self.origin.get(msg.content_id, msg.resolution).digest
-        resp = IpResponse(self.id, msg.src, msg.request_id, payload, digest, None)
+        payload = self.origin.stream(obj)
+        resp = IpResponse(self.id, msg.src, msg.request_id, payload, obj.digest, None)
         self.send_ip(resp, len(payload))
 
     # -- gateway fetch plumbing --------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from icnsim.forwarder import Forwarder
+from icnsim.ndn import Name
 from icnsim.simnet import Host, Network
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,6 +24,26 @@ def counter_stream(key: bytes, n: int) -> bytes:
     cut to ``n`` bytes."""
     return b"".join(hashlib.sha256(key + i.to_bytes(8, "big")).digest()
                     for i in range(-(-n // 32)))[:n]
+
+
+def child(name: Name, component: bytes) -> Name:
+    """``name`` with ``component`` appended, through the validating
+    constructor."""
+    return Name(name.components + (component,))
+
+
+def quota_snapshot(orch) -> dict[str, tuple[int, int, int]]:
+    """Per domain, the remaining quota plus the live allocations: vcpus,
+    RAM and disk. Conservation checks compare it before and after."""
+    out = {}
+    for name, vim in orch.vims.items():
+        live = [0, 0, 0]
+        for a in vim.live.values():
+            live[0] += a.flavor.vcpus
+            live[1] += a.flavor.ram_mb
+            live[2] += a.flavor.disk_gb
+        out[name] = tuple(r + l for r, l in zip(vim.remaining, live))
+    return out
 
 
 def build_chain(node_specs, links):

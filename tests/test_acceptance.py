@@ -17,13 +17,13 @@ import pytest
 from icnsim.forwarder import Forwarder
 from icnsim.harness import publish_bench, run_scenario
 from icnsim.metrics import region_stats
-from icnsim.ndn import (Data, Interest, Name, chunk_content, data_wire_len,
-                        interest_wire_len, make_data)
+from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
 from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator, QuotaExceeded,
                                   SliceSpec, VnfSpec)
 from icnsim.simnet import Network, Population, WireData
 
-from conftest import REFERENCE, assert_timeseries_adds_up, build_chain
+from conftest import REFERENCE, assert_timeseries_adds_up, build_chain, quota_snapshot
+from ndn_codec import encode_packet
 
 NDN_ROLES = ("ndn-node", "ndn-gateway")
 CDN_ROLES = ("cache", "streamer", "transcoder")
@@ -133,7 +133,7 @@ def test_criterion_6_analytic_oracle_equivalence():
         net, hosts = build_chain(specs, links)
         payload = b"p" * 1200
         for d in chunk_content(content, payload, 8192, 10_000_000):
-            hosts["cache"].fwd.cs_insert(0.0, d)
+            hosts["cache"].fwd.cs.insert(0.0, d)
         for i in range(len(lats)):
             nxt_face = hosts[ids[i]].face_by_peer[ids[i + 1]]
             hosts[ids[i]].fwd.fib_insert(Name.parse("/x"), [(nxt_face, 1)])
@@ -144,8 +144,8 @@ def test_criterion_6_analytic_oracle_equivalence():
         pop.start()
         net.run_to_completion()
         seg = content.segment(0)
-        ser_i = interest_wire_len(Interest(seg, 0)) * 8.0 / (mbps * 1000.0)
-        ser_d = data_wire_len(make_data(seg, payload, 10_000_000, 0)) * 8.0 / (mbps * 1000.0)
+        ser_i = len(encode_packet(Interest(seg, 0))) * 8.0 / (mbps * 1000.0)
+        ser_d = len(encode_packet(make_data(seg, payload, 10_000_000, 0))) * 8.0 / (mbps * 1000.0)
         hops = len(lats)
         expected = hops * ser_i + hops * ser_d + 2 * sum(lats)
         assert abs(records[0].delivery_ms - expected) <= 1e-9, (lats, records[0])
@@ -185,7 +185,7 @@ def test_criterion_7_conservation_and_integrity(reference_run):
         [("a", "b", 3.0, 100.0), ("b", "c", 4.0, 100.0)])
     payload = b"v" * 2048
     for d in chunk_content(content, payload, 8192, 10_000_000):
-        hosts["c"].fwd.cs_insert(0.0, d)
+        hosts["c"].fwd.cs.insert(0.0, d)
     hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
     hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
     fired = []
@@ -264,7 +264,7 @@ def test_criterion_10_quota_conservation():
     net = Network()
     domains = [DomainSpec("d%d" % i, "", Flavor(64, 65536, 1000)) for i in range(3)]
     orch = Orchestrator(net, domains)
-    initial = orch.quota_snapshot()
+    initial = quota_snapshot(orch)
     live = []
     counter = 0
     for _ in range(10_000):
@@ -283,7 +283,7 @@ def test_criterion_10_quota_conservation():
                 pass
         else:
             orch.destroy_slice(live.pop(rng.randrange(len(live))))
-        assert orch.quota_snapshot() == initial
+        assert quota_snapshot(orch) == initial
     _passed(10, "quota ledger exact over 10000 random create/destroy ops")
 
 

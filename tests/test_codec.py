@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.ndn import (Data, Interest, MalformedPacket, Name,
-                        PacketCodecError, TruncatedPacket, UnknownType,
-                        compute_digest, data_wire_len, decode_packet,
-                        encode_packet, interest_wire_len, make_data)
+from icnsim.ndn import Data, Interest, Name, compute_digest, data_wire_len, make_data
+
+from conftest import child
+from ndn_codec import (MalformedPacket, PacketCodecError, TruncatedPacket, UnknownType,
+                       decode_packet, encode_packet, interest_wire_len)
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -53,7 +54,7 @@ def test_cached_wire_len_matches_encoder_however_the_name_is_built(name, seg):
         Name.parse(name.uri),
         seg_name,
         seg_name.parent(),
-        name.child(b"c"),
+        child(name, b"c"),
         decode_packet(encode_packet(Interest(seg_name, 1))).name,
         *(Name._unsafe(comps[:k]) for k in range(len(comps) + 1)),  # LPM prefixes
     ]

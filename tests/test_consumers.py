@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from icnsim.ndn import (Data, Interest, Name, chunk_content, interest_wire_len,
-                        data_wire_len, make_data)
+from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
 from icnsim.simnet import Population, WireData
 
 from conftest import build_chain
+from ndn_codec import encode_packet
 
 CONTENT = Name.parse("/x/clip/hd")
 FRESH = 10_000_000
@@ -24,7 +24,7 @@ def make_population(net, host, seg_count, count=1, interval=0.0,
 
 def preload(host, payload, chunk=8192):
     for d in chunk_content(CONTENT, payload, chunk, FRESH):
-        host.fwd.cs_insert(0.0, d)
+        host.fwd.cs.insert(0.0, d)
 
 
 def test_warm_cache_two_node_analytic_delivery():
@@ -38,8 +38,8 @@ def test_warm_cache_two_node_analytic_delivery():
     net.run_to_completion()
     assert len(records) == 1 and records[0].status == "ok"
     seg = CONTENT.segment(0)
-    ser_i = interest_wire_len(Interest(seg, 0)) * 8.0 / (mbps * 1000.0)
-    ser_d = data_wire_len(make_data(seg, payload, FRESH, 0)) * 8.0 / (mbps * 1000.0)
+    ser_i = len(encode_packet(Interest(seg, 0))) * 8.0 / (mbps * 1000.0)
+    ser_d = len(encode_packet(make_data(seg, payload, FRESH, 0))) * 8.0 / (mbps * 1000.0)
     expected = ser_i + ser_d + 2 * lat
     assert records[0].delivery_ms == pytest.approx(expected, abs=1e-9)
     assert records[0].served_by == "b"
@@ -58,8 +58,8 @@ def test_three_node_chain_analytic_delivery():
     pop.start()
     net.run_to_completion()
     seg = CONTENT.segment(0)
-    ser_i = interest_wire_len(Interest(seg, 0)) * 8.0 / (mbps * 1000.0)
-    ser_d = data_wire_len(make_data(seg, payload, FRESH, 0)) * 8.0 / (mbps * 1000.0)
+    ser_i = len(encode_packet(Interest(seg, 0))) * 8.0 / (mbps * 1000.0)
+    ser_d = len(encode_packet(make_data(seg, payload, FRESH, 0))) * 8.0 / (mbps * 1000.0)
     expected = 2 * ser_i + 2 * ser_d + 2 * (l1 + l2)
     assert records[0].delivery_ms == pytest.approx(expected, abs=1e-9)
 
@@ -141,7 +141,7 @@ def test_mismatched_data_in_own_store_is_a_loss_not_a_reissue_loop(monkeypatch):
     # loss, so the request ends once, through the watchdog's attempt limit.
     net, hosts = build_chain([("a", 1 << 20)], [])
     seg = CONTENT.segment(0)
-    hosts["a"].fwd.cs_insert(0.0, Data(seg, b"bad", make_data(seg, b"good", FRESH, 0).digest,
+    hosts["a"].fwd.cs.insert(0.0, Data(seg, b"bad", make_data(seg, b"good", FRESH, 0).digest,
                                        FRESH, 0))
     issued = []
     issue = Population._issue_interest

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from icnsim.forwarder import (DROP_INTEGRITY, DROP_LOOP, DROP_NO_ROUTE,
                               DROP_UNSOLICITED, ContentStore, DuplicateFace,
-                              Forwarder, UnknownFace, UnknownPrefix)
+                              Forwarder, UnknownFace)
 from icnsim.ndn import Data, Interest, Name, make_data
 
 V0 = Name.parse("/v/seg=0")
@@ -23,7 +23,7 @@ def node(cs=1 << 20, faces=(1, 2, 9)):
 
 def test_cs_hit_answers_without_pit():
     f = node()
-    f.cs_insert(0.0, make_data(V0, b"p" * 10, FRESH, 0))
+    f.cs.insert(0.0, make_data(V0, b"p" * 10, FRESH, 0))
     acts = f.on_interest(1.0, 1, Interest(V0, nonce=1))
     assert len(acts) == 1 and type(acts[0][1]) is Data
     assert acts[0][0] == 1
@@ -73,7 +73,7 @@ def test_hop_limit_one_cannot_be_forwarded_but_cs_still_answers():
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     assert f.on_interest(0.0, 1, Interest(V0, nonce=1, hop_limit=1)) == []
     assert f.counters.drops == {DROP_LOOP: 1}
-    f.cs_insert(0.0, make_data(V0, b"x", FRESH, 0))
+    f.cs.insert(0.0, make_data(V0, b"x", FRESH, 0))
     acts = f.on_interest(1.0, 1, Interest(V0, nonce=2, hop_limit=1))
     assert type(acts[0][1]) is Data
 
@@ -196,62 +196,64 @@ def test_cs_lru_eviction():
     a = make_data(Name.parse("/a/seg=0"), b"a" * 8192, FRESH, 0)
     b = make_data(Name.parse("/b/seg=0"), b"b" * 8192, FRESH, 0)
     c = make_data(Name.parse("/c/seg=0"), b"c" * 8192, FRESH, 0)
-    f.cs_insert(0.0, a)
-    f.cs_insert(1.0, b)
+    f.cs.insert(0.0, a)
+    f.cs.insert(1.0, b)
     f.cs.lookup(2.0, a.name)  # a is now most recently used
-    evicted = f.cs_insert(3.0, c)
-    assert evicted == [b.name]
+    assert f.cs.insert(3.0, c) == (True, [b.name])
     assert f.cs.bytes == 16384
 
 
 def test_cs_reinsert_same_name_refreshes_without_double_count():
     f = Forwarder(16384)
     a = make_data(Name.parse("/a/seg=0"), b"a" * 8192, FRESH, 0)
-    f.cs_insert(0.0, a)
-    f.cs_insert(1.0, a)
+    f.cs.insert(0.0, a)
+    f.cs.insert(1.0, a)
     assert f.cs.bytes == 8192
     b = make_data(Name.parse("/b/seg=0"), b"b" * 8192, FRESH, 0)
     c = make_data(Name.parse("/c/seg=0"), b"c" * 8192, FRESH, 0)
-    f.cs_insert(2.0, b)
-    f.cs_insert(3.0, a)  # refresh recency: b becomes LRU
-    assert f.cs_insert(4.0, c) == [b.name]
+    f.cs.insert(2.0, b)
+    f.cs.insert(3.0, a)  # refresh recency: b becomes LRU
+    assert f.cs.insert(4.0, c) == (True, [b.name])
 
 
 def test_cs_stale_evicted_before_fresh_lru():
     f = Forwarder(16384)
     stale = make_data(Name.parse("/stale/seg=0"), b"s" * 8192, 100, 0)
     fresh = make_data(Name.parse("/fresh/seg=0"), b"f" * 8192, FRESH, 0)
-    f.cs_insert(0.0, stale)
-    f.cs_insert(10.0, fresh)
+    f.cs.insert(0.0, stale)
+    f.cs.insert(10.0, fresh)
     # Touch stale so plain LRU would evict fresh instead.
     assert f.cs.lookup(50.0, stale.name) is not None
     # Clock-stepped: at t=200 stale has expired.
     assert f.cs.lookup(200.0, fresh.name) is not None
     incoming = make_data(Name.parse("/new/seg=0"), b"n" * 8192, FRESH, 0)
     f2 = Forwarder(16384)
-    f2.cs_insert(0.0, stale)
-    f2.cs_insert(10.0, fresh)
+    f2.cs.insert(0.0, stale)
+    f2.cs.insert(10.0, fresh)
     f2.cs.lookup(50.0, stale.name)
-    evicted = f2.cs_insert(200.0, incoming)
-    assert evicted == [stale.name]
+    assert f2.cs.insert(200.0, incoming) == (True, [stale.name])
     assert f2.cs.lookup(200.0, fresh.name) is not None
 
 
 def test_cs_stale_never_returned_by_lookup():
     f = Forwarder(1 << 20)
     d = make_data(V0, b"p", 100, 0)
-    f.cs_insert(0.0, d)
+    f.cs.insert(0.0, d)
     assert f.cs.lookup(99.0, V0) is not None
     f2 = Forwarder(1 << 20)
-    f2.cs_insert(0.0, d)
+    f2.cs.insert(0.0, d)
     assert f2.cs.lookup(100.0, V0) is None
 
 
 def test_cs_payload_too_large_counted_not_raised():
-    f = Forwarder(10)
-    f.cs_insert(0.0, make_data(V0, b"x" * 11, FRESH, 0))
+    f = node(cs=10)
+    f.fib_insert(Name.parse("/v"), [(2, 1)])
+    f.on_interest(0.0, 1, Interest(V0, nonce=1))
+    d = make_data(V0, b"x" * 11, FRESH, 0)
+    assert f.on_data(1.0, 2, d) == [(1, d)]
     assert len(f.cs) == 0
     assert f.counters.cs_rejections == 1
+    assert f.cs.insert(2.0, d) == (False, [])
 
 
 def test_cs_capacity_never_exceeded_random_ops():
@@ -262,7 +264,7 @@ def test_cs_capacity_never_exceeded_random_ops():
         n = rng.choice(names)
         if rng.random() < 0.7:
             size = rng.randrange(0, 12_000)
-            f.cs_insert(float(step), make_data(n, b"z" * size, rng.choice((50, FRESH)), 0))
+            f.cs.insert(float(step), make_data(n, b"z" * size, rng.choice((50, FRESH)), 0))
         else:
             f.cs.lookup(float(step), n)
         assert f.cs.bytes <= 40_000
@@ -502,11 +504,6 @@ def test_face_and_fib_config_errors():
         f.register_face(1)
     with pytest.raises(ValueError):
         f.fib_insert(Name.parse("/a"), [])
-    with pytest.raises(UnknownPrefix):
-        f.fib_remove(Name.parse("/a"))
-    f.fib_insert(Name.parse("/a"), [(1, 0)])
-    f.fib_remove(Name.parse("/a"))
-    assert f.fib_longest_prefix_match(Name.parse("/a/b")) is None
     with pytest.raises(UnknownFace):
         f.on_interest(0.0, 404, Interest(V0, nonce=1))
     with pytest.raises(UnknownFace):

@@ -2,13 +2,14 @@
 
 Frame counts are deterministic, so a test can pin them where a clock
 could not. Each count is the number of Python ``call`` events inside
-``Network.run_to_completion``, taken with ``sys.setprofile`` in a fresh
-interpreter. A change to the packet path that adds or removes a frame
+``Network.run_to_completion``, taken with ``sys.setprofile`` by
+``tools/pathcount.py`` (frames only) in a fresh interpreter. A change to the packet path that adds or removes a frame
 per packet moves these numbers; update them with the change and say
 why. The counts must not depend on ``PYTHONHASHSEED``: names hash by
 identity, and nothing may iterate a set of them into the event order.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,9 @@ import pytest
 
 from conftest import MINI
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PATHCOUNT = ROOT / "tools" / "pathcount.py"
 
 # 773 and 552 before names were interned, the forwarder returned
 # (face, packet) pairs and only the linked node became a gateway; 524 and
@@ -35,44 +38,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # read the content store only when it holds something (-8), built the PIT
 # entry without ``__init__`` (-10), read the Data's digest memo in
 # ``on_data`` (-6) and inserted into the store without ``cs_insert`` (-8),
-# while a content-store miss now goes through one ``_miss`` step (+10).
-FRAMES = {"icn": 400, "cdn-only": 421}
-
-COUNT = r"""
-import sys
-from icnsim.harness import run_scenario
-from icnsim.simnet import Network
-
-engine = Network.run_to_completion
-calls = 0
-
-
-def profile(frame, event, arg):
-    global calls
-    if event == "call":
-        calls += 1
-
-
-def counted(self):
-    sys.setprofile(profile)
-    try:
-        return engine(self)
-    finally:
-        sys.setprofile(None)
-
-
-Network.run_to_completion = counted
-run = run_scenario(sys.argv[1], None, ["mode=" + sys.argv[2]])
-assert all(r.status == "ok" for r in run.records)
-print(calls)
-"""
-
+# while a content-store miss now goes through one ``_miss`` step (+10);
+# 400 and 421 before an IP request looked its origin object up once (-1
+# per request an origin serves: 1 in icn, 6 in cdn-only) and both periodic
+# ticks asked one ``live`` predicate (+1 per tick that asks it: 2 in each
+# mode).
+FRAMES = {"icn": 401, "cdn-only": 417}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", COUNT, str(MINI), mode], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return int(out)
+    out = subprocess.run([sys.executable, str(PATHCOUNT), str(MINI), "--set", "mode=" + mode,
+                          "--top", "0"], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    totals = json.loads(out.splitlines()[-1])
+    assert totals["ok"] == totals["requests"] > 0
+    return totals["frames"]
 
 
 @pytest.mark.parametrize("mode", sorted(FRAMES))

@@ -132,7 +132,7 @@ def test_mem_model_bytes():
     f.register_face(9)
     f.fib_insert(Name.parse("/v"), [(9, 1)])
     assert f.mem_model_bytes() == 0
-    f.cs_insert(0.0, make_data(Name.parse("/v/seg=1"), b"x" * 100, 10_000, 1))
+    f.cs.insert(0.0, make_data(Name.parse("/v/seg=1"), b"x" * 100, 10_000, 1))
     f.on_interest(0.0, 1, Interest(Name.parse("/v/seg=0"), nonce=1))
     assert f.mem_model_bytes() == 100 + 512
     g = Gateway(0)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim.harness import build_and_run, write_outputs
 from icnsim.orchestration import Knobs
-from icnsim.scenario import parse_doc, validate_doc
+from icnsim.scenario import parse_doc
 
 from conftest import MINI
 
@@ -78,4 +78,4 @@ def test_a_knob_outside_its_range_is_one_bad_value(knob):
     name, value = knob
     doc = json.loads(MINI.read_text())
     doc["knobs"][name] = value
-    assert [(d.code, d.path) for d in validate_doc(doc)] == [("bad-value", "knobs." + name)]
+    assert [(d.code, d.path) for d in parse_doc(doc)[1]] == [("bad-value", "knobs." + name)]

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from icnsim import ndn
 from icnsim.ndn import MalformedUri, Name
 
+from conftest import child
+
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
 
@@ -89,7 +91,7 @@ def test_every_constructor_returns_the_interned_name():
     assert Name(list(comps)) is n
     assert Name._unsafe(comps) is n
     assert Name.parse("/i/j").segment(4) is n
-    assert Name.parse("/i/j").child(b"seg=4") is n
+    assert child(Name.parse("/i/j"), b"seg=4") is n
     assert Name.parse("/i/j/seg=4/k").parent() is n
     assert n.parent() is Name.parse("/i/j") is Name((b"i", b"j"))
     assert Name.parse("/") is Name(()) is Name.parse("/i").parent()
@@ -188,7 +190,7 @@ def test_prefix_antisymmetric_same_length(a, b):
 @given(names, comp)
 def test_prefix_monotone_under_append(n, c):
     if len(n) < 32:
-        assert n.is_prefix_of(n.child(c))
+        assert n.is_prefix_of(child(n, c))
 
 
 def test_root_is_prefix_of_everything():

@@ -12,7 +12,7 @@ from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator,
                                   VnfSpec)
 from icnsim.simnet import Network
 
-from conftest import MINI
+from conftest import MINI, quota_snapshot
 
 EU = DomainSpec("openstack-eu", "EU", Flavor(16, 32768, 500))
 JP = DomainSpec("openstack-jp", "JP", Flavor(8, 16384, 100))
@@ -127,21 +127,21 @@ def test_destroyed_slice_node_ids_stay_taken():
     sid = orch.create_slice(cdn_spec())
     old = net.all_hosts["cdn"]
     orch.destroy_slice(sid)
-    before = orch.quota_snapshot()
+    before = quota_snapshot(orch)
     remaining = list(orch.vims["openstack-eu"].remaining)
     with pytest.raises(ValueError):
         orch.create_slice(cdn_spec())
-    assert orch.quota_snapshot() == before
+    assert quota_snapshot(orch) == before
     assert orch.vims["openstack-eu"].remaining == remaining
     assert net.all_hosts["cdn"] is old
 
 
 def test_destroy_restores_quota_and_removes_nodes():
     net, orch = make_orch()
-    before = orch.quota_snapshot()
+    before = quota_snapshot(orch)
     sid = orch.create_slice(table1_icn_spec())
     orch.destroy_slice(sid)
-    assert orch.quota_snapshot() == before
+    assert quota_snapshot(orch) == before
     assert orch.vims["openstack-jp"].remaining == [8, 16384, 100]
     assert not net.hosts
     with pytest.raises(UnknownSlice):
@@ -373,7 +373,7 @@ def test_scale_out_skips_a_taken_clone_name():
 def test_quota_conservation_random_ops():
     rng = random.Random(77)
     net, orch = make_orch()
-    initial = orch.quota_snapshot()
+    initial = quota_snapshot(orch)
     live = []
     counter = 0
     domains = ["openstack-eu", "openstack-jp", "aws-us"]
@@ -394,9 +394,9 @@ def test_quota_conservation_random_ops():
                 pass
         else:
             orch.destroy_slice(live.pop(rng.randrange(len(live))))
-        assert orch.quota_snapshot() == initial
+        assert quota_snapshot(orch) == initial
     for sid in live:
         orch.destroy_slice(sid)
-    assert orch.quota_snapshot() == initial
+    assert quota_snapshot(orch) == initial
     for vim in orch.vims.values():
         assert not vim.live

@@ -23,7 +23,7 @@ def loaded_origin(on_cpu=None):
 def test_upload_two_megabytes():
     o = loaded_origin()
     assert o.get("v42", "1080p").size_bytes == 2_097_152
-    assert o.uploads == 1
+    assert o.catalog() == [("v42", "1080p")]
 
 
 def test_duplicate_upload_rejected():
@@ -36,7 +36,7 @@ def test_zero_byte_upload_is_legal():
     o = CdnOrigin()
     obj = o.upload("empty", b"", "1080p")
     assert obj.size_bytes == 0
-    assert o.stream("empty", "1080p") == b""
+    assert o.stream(o.get("empty", "1080p")) == b""
 
 
 def test_transcode_half_scale_size_law():
@@ -88,20 +88,19 @@ def test_fractional_scale_floor():
 
 def test_stream_returns_whole_payload():
     o = loaded_origin()
-    full = o.stream("v42", "1080p")
-    assert full is o.get("v42", "1080p").payload
+    obj = o.get("v42", "1080p")
+    full = o.stream(obj)
+    assert full is obj.payload
     assert len(full) == 2 * MIB
-    o.stream("v42", "1080p")
-    assert o.streams == 2
-    assert o.bytes_out == 4 * MIB
+    assert o.stream(obj) is full
 
 
 def test_stream_errors():
     o = loaded_origin()
     with pytest.raises(UnknownContent):
-        o.stream("v42", "480p")
+        o.get("v42", "480p")
     with pytest.raises(UnknownContent):
-        o.stream("ghost", "1080p")
+        o.get("ghost", "1080p")
 
 
 def test_synthesize_payload_keyed_on_all_inputs():
@@ -150,7 +149,7 @@ def test_variant_payload_made_once_on_first_read(stream_calls):
     assert stream_calls == [(src.digest + b"360p", 2 * MIB // 3)]
     assert first == counter_stream(src.digest + b"360p", 2 * MIB // 3)
     assert out.payload is first
-    assert o.stream("v42", "360p") is first
+    assert o.stream(o.get("v42", "360p")) is first
     assert len(stream_calls) == 1
     assert out.digest == compute_digest(first)
 

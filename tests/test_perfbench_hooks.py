@@ -33,9 +33,9 @@ CALLED = {
 SCHEDULED = {"icn": 30, "cdn-only": 52}
 SPAN_CALLS = {
     "icn": {"simnet.send": 18, "simnet.receive": 18, "forwarder.on_interest": 12,
-            "forwarder.on_data": 8, "ndn.decremented": 8},
+            "forwarder.on_data": 8, "ndn.decremented": 8, "origin.stream": 1},
     "cdn-only": {"simnet.send": 36, "simnet.receive": 36, "forwarder.on_interest": 0,
-                 "forwarder.on_data": 0, "ndn.decremented": 0},
+                 "forwarder.on_data": 0, "ndn.decremented": 0, "origin.stream": 6},
 }
 
 

@@ -4,8 +4,7 @@ import json
 import re
 
 from icnsim.orchestration import Knobs
-from icnsim.scenario import (apply_overrides, load_scenario, parse_doc, range_text,
-                             validate_doc)
+from icnsim.scenario import apply_overrides, load_scenario, parse_doc, range_text
 
 from conftest import MINI, REFERENCE, SCENARIOS
 
@@ -26,13 +25,13 @@ def test_reference_scenario_validates_clean():
 
 
 def test_mini_scenario_validates_clean():
-    assert validate_doc(load_doc(MINI)) == []
+    assert parse_doc(load_doc(MINI))[1] == []
 
 
 def test_unknown_node_in_link_diagnosed_with_path():
     doc = load_doc(MINI)
     doc["topology"]["links"][0]["b"] = "ghost"
-    diags = validate_doc(doc)
+    diags = parse_doc(doc)[1]
     assert any(d.code == "bad-reference" and "ghost" in d.message
                and d.path.startswith("topology.links.0") for d in diags)
 
@@ -42,7 +41,7 @@ def test_icn_slice_without_ndn_node_is_invariant_diagnostic():
     for op in doc["northbound"]:
         if op["op"] == "create_icn_slice":
             op["vnfs"] = [v for v in op["vnfs"] if v["role"] != "ndn-node"]
-    diags = validate_doc(doc)
+    diags = parse_doc(doc)[1]
     assert any(d.code == "invariant" and "ndn-node" in d.message for d in diags)
 
 
@@ -51,14 +50,14 @@ def test_quota_infeasible_slice_names_domain():
     for op in doc["northbound"]:
         if op["op"] == "create_icn_slice":
             op["vnfs"][0]["flavor"]["vcpus"] = 999
-    diags = validate_doc(doc)
+    diags = parse_doc(doc)[1]
     assert any(d.code == "QuotaExceeded" and "dc" in d.message for d in diags)
 
 
 def test_duplicate_node_ids_rejected():
     doc = load_doc(MINI)
     doc["topology"]["nodes"].append({"id": "client"})
-    diags = validate_doc(doc)
+    diags = parse_doc(doc)[1]
     assert any(d.code == "duplicate" for d in diags)
 
 
@@ -67,51 +66,51 @@ def test_topology_link_duplicating_slice_link_rejected():
     for link in (edge_gw, dict(edge_gw, a="gw", b="edge")):
         doc = load_doc(MINI)
         doc["topology"]["links"].append(link)
-        diags = validate_doc(doc)
+        diags = parse_doc(doc)[1]
         assert [(d.code, d.path) for d in diags] == [("duplicate", "topology.links.2")]
 
 
 def test_bad_mode_rejected():
     doc = load_doc(MINI)
     doc["mode"] = "both"
-    assert any(d.path == "mode" for d in validate_doc(doc))
+    assert any(d.path == "mode" for d in parse_doc(doc)[1])
 
 
 def test_bad_pattern_rejected():
     doc = load_doc(MINI)
     doc["populations"][0]["pattern"] = {"kind": "bursty"}
-    assert any("pattern" in d.path for d in validate_doc(doc))
+    assert any("pattern" in d.path for d in parse_doc(doc)[1])
 
 
 def test_population_content_must_resolve():
     doc = load_doc(MINI)
     doc["populations"][0]["content"] = "/cdn/ghost/720p"
-    assert any("unknown content id" in d.message for d in validate_doc(doc))
+    assert any("unknown content id" in d.message for d in parse_doc(doc)[1])
     doc = load_doc(MINI)
     doc["populations"][0]["content"] = "/cdn/clip/4k"
-    assert any("not declared" in d.message for d in validate_doc(doc))
+    assert any("not declared" in d.message for d in parse_doc(doc)[1])
     doc = load_doc(MINI)
     doc["populations"][0]["content"] = "/elsewhere/clip/720p"
-    assert any("linked prefix" in d.message for d in validate_doc(doc))
+    assert any("linked prefix" in d.message for d in parse_doc(doc)[1])
 
 
 def test_population_attach_node_must_exist():
     doc = load_doc(MINI)
     doc["populations"][0]["attach_node"] = "nowhere"
     assert any(d.code == "bad-reference" and "attach_node" in d.path
-               for d in validate_doc(doc))
+               for d in parse_doc(doc)[1])
 
 
 def test_unknown_top_level_and_knob_fields():
     doc = load_doc(MINI)
     doc["extra"] = 1
-    assert any(d.code == "unknown-field" for d in validate_doc(doc))
+    assert any(d.code == "unknown-field" for d in parse_doc(doc)[1])
     # pit_sweep_ms was a knob once; PIT entries now expire at their deadline.
     for knob in ("warp_speed", "pit_sweep_ms"):
         doc = load_doc(MINI)
         doc["knobs"][knob] = 9
         assert any(d.code == "unknown-field" and d.path == "knobs." + knob
-                   for d in validate_doc(doc))
+                   for d in parse_doc(doc)[1])
 
 
 def test_readme_knob_table_matches_knobs():
@@ -125,7 +124,7 @@ def test_readme_knob_table_matches_knobs():
 def test_upload_requires_existing_cdn_slice():
     doc = load_doc(MINI)
     doc["northbound"][1]["slice"] = "nope"
-    assert any("CDN slice" in d.message for d in validate_doc(doc))
+    assert any("CDN slice" in d.message for d in parse_doc(doc)[1])
 
 
 def test_poisson_pattern_accepted():

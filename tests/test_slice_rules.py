@@ -1,7 +1,7 @@
 """One set of slice rules: the static validator and the orchestrator agree.
 
 Every fault below is written once, as a change to the ``mini`` scenario
-document. ``validate_doc`` must report the listed (code, path) pairs, and
+document. ``parse_doc`` must report the listed (code, path) pairs, and
 ``Orchestrator.create_slice`` must reject the same slice spec without
 touching quotas or the network.
 """
@@ -12,10 +12,10 @@ import pytest
 
 from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator,
                                   QuotaExceeded, SliceSpec, VnfSpec)
-from icnsim.scenario import validate_doc
+from icnsim.scenario import parse_doc
 from icnsim.simnet import Network
 
-from conftest import MINI
+from conftest import MINI, quota_snapshot
 
 CDN_OP, ICN_OP = 0, 2  # indices of the create ops in mini's northbound list
 
@@ -68,12 +68,12 @@ def test_validator_and_orchestrator_agree(fault, index, change, expected):
     doc = json.loads(MINI.read_text())
     op = doc["northbound"][index]
     change(op)
-    assert [(d.code, d.path) for d in validate_doc(doc)] == expected
+    assert [(d.code, d.path) for d in parse_doc(doc)[1]] == expected
     net, orch = mini_orchestrator()
-    quota = orch.quota_snapshot()
+    quota = quota_snapshot(orch)
     with pytest.raises(ValueError):
         orch.create_slice(spec_of(op))
-    assert orch.quota_snapshot() == quota and not net.hosts and not orch.slices
+    assert quota_snapshot(orch) == quota and not net.hosts and not orch.slices
 
 
 @pytest.mark.parametrize("field,value", [("bandwidth_mbps", 0), ("latency_ms", -1)])
@@ -82,11 +82,11 @@ def test_bad_intra_slice_link_rejected_before_any_allocation(field, value):
     good = json.loads(MINI.read_text())["northbound"][ICN_OP]
     bad = json.loads(json.dumps(good))
     bad["links"][0][field] = value
-    quota = orch.quota_snapshot()
+    quota = quota_snapshot(orch)
     remaining = {d: list(v.remaining) for d, v in orch.vims.items()}
     with pytest.raises(ValueError):
         orch.create_slice(spec_of(bad))
-    assert orch.quota_snapshot() == quota
+    assert quota_snapshot(orch) == quota
     assert {d: v.remaining for d, v in orch.vims.items()} == remaining
     assert not net.hosts
     # Nothing was left behind, so the corrected slice now fits.
@@ -100,13 +100,13 @@ def test_duplicate_intra_slice_link_rejected():
     doc = json.loads(MINI.read_text())
     op = doc["northbound"][ICN_OP]
     op["links"].append(dict(op["links"][0], a="gw", b="edge"))
-    assert [(d.code, d.path) for d in validate_doc(doc)] == [
+    assert [(d.code, d.path) for d in parse_doc(doc)[1]] == [
         ("duplicate", "northbound.2.links.1")]
     net, orch = mini_orchestrator()
-    quota = orch.quota_snapshot()
+    quota = quota_snapshot(orch)
     with pytest.raises(ValueError):
         orch.create_slice(spec_of(op))
-    assert orch.quota_snapshot() == quota and not net.hosts
+    assert quota_snapshot(orch) == quota and not net.hosts
 
 
 def over_quota_op():
@@ -119,9 +119,9 @@ def over_quota_op():
 def test_quota_exceeded_until_destroy_releases():
     doc = json.loads(MINI.read_text())
     doc["northbound"].append(over_quota_op())
-    assert [(d.code, d.path) for d in validate_doc(doc)] == [("QuotaExceeded", "northbound.4")]
+    assert [(d.code, d.path) for d in parse_doc(doc)[1]] == [("QuotaExceeded", "northbound.4")]
     doc["northbound"].insert(4, {"op": "destroy", "slice": "i1"})
-    assert validate_doc(doc) == []
+    assert parse_doc(doc)[1] == []
 
     net, orch = mini_orchestrator()
     ops = json.loads(MINI.read_text())["northbound"]
