@@ -6,9 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .harness import publish_bench, run_scenario
 from .metrics import summary_lines
@@ -96,10 +94,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if not Path(args.scenario).exists():
-        print(json.dumps({"code": "io-error", "path": args.scenario,
-                          "message": "file not found"}), file=sys.stderr)
-        return EXIT_VALIDATION
     _scenario, diags = load_scenario(args.scenario, list(args.sets))
     for d in diags:
         print(d.as_json())

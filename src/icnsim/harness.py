@@ -35,12 +35,16 @@ class SimRun:
     orchestrator: Orchestrator
     records: list[RequestRecord]
     samples: list[Sample]
-    publishes: list[tuple[str, str, int, float]]  # (content_id, resolution, bytes, ms)
     final_ms: float
 
     @property
     def hosts(self) -> dict[str, Host]:
         return self.net.all_hosts
+
+    @property
+    def publishes(self) -> list[tuple[str, str, int, float]]:
+        """(content_id, resolution, bytes, ms) per gateway publish, in order."""
+        return self.net.publishes
 
     def origin_fetch_total(self) -> int:
         return sum(h.counters.origin_fetches for h in self.hosts.values())
@@ -97,7 +101,6 @@ def build_and_run(scenario: Scenario) -> SimRun:
     net = Network(horizon_ms=knobs.horizon_ms)
     records: list[RequestRecord] = []
     samples: list[Sample] = []
-    publishes: list[tuple[str, str, int, float]] = []
     rid_counter = itertools.count(0)
 
     for nd in scenario.nodes:
@@ -161,7 +164,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
             cdn_sids = [sid for sid, st in orch.slices.items() if st.spec.kind == "CDN"]
             target = orch.serving_node(cdn_sids[0]) if cdn_sids else p.attach_node
             pop = IpPopulation(net, host, p.region, p.content, p.content_id,
-                               p.resolution, p.content_size, target,
+                               p.resolution, target,
                                p.request_count, p.pattern, rng, records,
                                rid_counter, timeout_ms=knobs.origin_timeout_ms)
         else:
@@ -173,10 +176,6 @@ def build_and_run(scenario: Scenario) -> SimRun:
                              lifetime_ms=knobs.interest_lifetime_ms,
                              max_attempts=knobs.retransmit_max)
         populations.append(pop)
-
-    for host in net.hosts.values():
-        host.publish_hook = (lambda cid, res, size, ms:
-                             publishes.append((cid, res, size, ms)))
 
     def live() -> bool:
         """Traffic is in flight or a population has requests left; the
@@ -200,7 +199,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
 
     final = net.run_to_completion()
     sampler.final_flush(final)
-    return SimRun(scenario, net, orch, records, samples, publishes, final)
+    return SimRun(scenario, net, orch, records, samples, final)
 
 
 def write_outputs(run: SimRun, out_dir: Path):

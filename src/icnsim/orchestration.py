@@ -92,6 +92,9 @@ AT_LEAST_1 = (1, None, False)
 NON_NEGATIVE = (0, None, False)
 POSITIVE = (0, None, True)
 UNIT = (0, 1, False)
+# A periodic tick reschedules itself at now + period until the run's last
+# request ends, so a tiny period never ends in useful time.
+PERIOD_MS = (0.5, None, False)
 
 
 def knob(default, rng):
@@ -107,8 +110,7 @@ class Knobs:
     window: int = knob(4, AT_LEAST_1)
     cs_capacity_bytes: int = knob(64 * 1024 * 1024, NON_NEGATIVE)
     gateway_weight: float = knob(0.5, UNIT)
-    # A tick period (bucket_ms, scale_window_ms) of 0 would reschedule itself forever.
-    bucket_ms: float = knob(1000.0, POSITIVE)
+    bucket_ms: float = knob(1000.0, PERIOD_MS)
     origin_timeout_ms: float = knob(30_000.0, POSITIVE)
     per_packet_cost_ms: float = knob(0.02, NON_NEGATIVE)
     publish_freshness_ms: int = knob(3_600_000, (0, U32_MAX, False))
@@ -116,7 +118,7 @@ class Knobs:
     horizon_ms: float = knob(86_400_000.0, POSITIVE)
     transcode_rate_bps: float = knob(20e6, POSITIVE)
     scale_threshold: float = knob(0.8, NON_NEGATIVE)
-    scale_window_ms: float = knob(10_000.0, POSITIVE)
+    scale_window_ms: float = knob(10_000.0, PERIOD_MS)
     retransmit_max: int = knob(5, AT_LEAST_1)
 
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .ndn import MalformedUri, Name
-from .orchestration import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, UNIT, DomainSpec, Flavor,
-                            Knobs, QuotaExceeded, SliceSpec, Vim, VnfSpec, allocate_all,
-                            slice_faults)
+from .orchestration import (AT_LEAST_1, NON_NEGATIVE, PERIOD_MS, POSITIVE, UNIT, DomainSpec,
+                            Flavor, Knobs, QuotaExceeded, SliceSpec, Vim, VnfSpec,
+                            allocate_all, slice_faults)
 
 NORTHBOUND_OPS = ("create_cdn_slice", "create_icn_slice", "upload",
                   "transcode", "link", "destroy")
@@ -442,7 +442,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
         count = _want(diags, p, "request_count", int, path, required=True, rng=NON_NEGATIVE)
         content = _want(diags, p, "content", str, path, required=True)
         retrans = _want(diags, p, "retransmit_ms", (int, float), path, default=4500.0,
-                        rng=POSITIVE)
+                        rng=PERIOD_MS)
         pattern = _parse_pattern(diags, p.get("pattern", {}), path + ".pattern")
         if None in (region, attach, count, content, retrans) or pattern is None:
             continue

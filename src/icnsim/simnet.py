@@ -102,6 +102,8 @@ class Network:
         self._next_seq = itertools.count().__next__
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self.delivery_filter: Callable | None = None
+        # (content_id, resolution, bytes, ms) per gateway publish
+        self.publishes: list[tuple[str, str, int, float]] = []
 
     # -- scheduling --------------------------------------------------------
 
@@ -268,8 +270,8 @@ class Host:
 
     __slots__ = ("net", "id", "role", "fwd", "origin", "packet_ms", "cpu_ms",
                  "counters", "faces", "face_by_peer", "apps", "_next_face",
-                 "origin_timeout_ms", "_fetches", "_next_rid",
-                 "_ip_waiters", "publish_hook", "removed")
+                 "origin_timeout_ms", "_next_rid", "_ip_waiters", "_ip_intact",
+                 "removed")
 
     def __init__(self, net: Network, node_id: str, role: str = "host",
                  fwd: Forwarder | None = None, origin: CdnOrigin | None = None,
@@ -288,10 +290,9 @@ class Host:
         self.apps: dict[int, Callable] = {}
         self._next_face = 0
         self.origin_timeout_ms = origin_timeout_ms
-        self._fetches: dict[int, tuple[PendingFetch, float, Event]] = {}  # (fetch, start, timeout)
         self._next_rid = 0
-        self._ip_waiters: dict[int, Callable] = {}
-        self.publish_hook: Callable | None = None
+        self._ip_waiters: dict[int, tuple[Callable, Event]] = {}  # rid -> (callback, timeout)
+        self._ip_intact: tuple[bytes, bytes] | None = None  # (payload, digest) last found intact
         self.removed = False  # set by Network.remove_host
 
     # -- faces ---------------------------------------------------------------
@@ -321,11 +322,15 @@ class Host:
         self._next_rid += 1
         return rid
 
-    def await_ip_response(self, rid: int, cb: Callable):
-        self._ip_waiters[rid] = cb
+    def await_ip_response(self, rid: int, cb: Callable, timeout_ms: float):
+        """Call ``cb(now, response)`` once: with the response to request
+        ``rid``, or with a ``timeout`` error response after ``timeout_ms``."""
+        self._ip_waiters[rid] = (cb, self.net.schedule(self.net.now + timeout_ms,
+                                                       partial(self._ip_timeout, rid)))
 
-    def forget_ip_response(self, rid: int):
-        self._ip_waiters.pop(rid, None)
+    def _ip_timeout(self, rid: int, now: float):
+        cb, _timeout = self._ip_waiters.pop(rid)
+        cb(now, IpResponse("", self.id, rid, None, b"", "timeout"))
 
     # -- meters ---------------------------------------------------------------
 
@@ -407,18 +412,28 @@ class Host:
         return self.net.send(self.id, nh, nbytes, msg)
 
     def _handle_ip(self, now: float, msg, nbytes: int):
+        """Forward, serve, or answer a waiter: a response that arrives
+        after its timeout is dropped, and one whose payload does not match
+        its digest reaches the waiter as an ``integrity`` error."""
         if msg.dst != self.id:
             self.send_ip(msg, nbytes)
-            return
-        if type(msg) is IpRequest:
+        elif type(msg) is IpRequest:
             self._serve_ip_request(now, msg)
         elif type(msg) is IpResponse:
-            if msg.request_id in self._fetches:
-                self._end_fetch(now, msg.request_id, msg)
-            else:
-                cb = self._ip_waiters.pop(msg.request_id, None)
-                if cb is not None:
-                    cb(now, msg)
+            waiter = self._ip_waiters.pop(msg.request_id, None)
+            if waiter is None:
+                return
+            cb, timeout = waiter
+            self.net.cancel(timeout)
+            if msg.error is None:
+                # The origin resends one bytes object; the tuple compare matches it by identity.
+                pair = (msg.payload, msg.digest)
+                if pair != self._ip_intact:
+                    if msg.payload is not None and compute_digest(msg.payload) == msg.digest:
+                        self._ip_intact = pair
+                    else:
+                        msg.error = "integrity"
+            cb(now, msg)
 
     def _serve_ip_request(self, now: float, msg: IpRequest):
         if self.origin is None:
@@ -444,29 +459,21 @@ class Host:
         self.counters.origin_fetches += 1
         req = IpRequest(self.id, gw.origin_ref.node, rid, pf.content_id, pf.resolution)
         self.send_ip(req, IP_REQUEST_BYTES)
-        ev = self.net.schedule(now + self.origin_timeout_ms,
-                               lambda t, rid=rid: self._end_fetch(t, rid, None))
-        self._fetches[rid] = (pf, now, ev)
+        # The waiter is written here, not through ``await_ip_response``,
+        # which registers consumers.
+        self._ip_waiters[rid] = (partial(self._end_fetch, pf, now),
+                                 self.net.schedule(now + self.origin_timeout_ms,
+                                                   partial(self._ip_timeout, rid)))
 
-    def _end_fetch(self, now: float, rid: int, msg: IpResponse | None):
-        """Publish the fetched content, or fail its waiters on an error
-        response, on a payload that does not match its digest or, with
-        ``msg`` None, on the timeout."""
-        fetch = self._fetches.pop(rid, None)
-        if fetch is None:
-            return
-        pf, started, ev = fetch
+    def _end_fetch(self, pf: PendingFetch, started: float, now: float, msg: IpResponse):
+        """Publish the fetched content, or fail its waiters on an error response."""
         gw = self.fwd
-        if msg is not None:
-            self.net.cancel(ev)
-        if (msg is None or msg.error is not None or msg.payload is None
-                or compute_digest(msg.payload) != msg.digest):
+        if msg.error is not None:
             gw.fetch_failed(now, pf.base)
             return
         _count, actions = gw.publish_content_to_icn(now, pf.content_id, pf.resolution,
                                                     msg.payload)
-        if self.publish_hook is not None:
-            self.publish_hook(pf.content_id, pf.resolution, len(msg.payload), now - started)
+        self.net.publishes.append((pf.content_id, pf.resolution, len(msg.payload), now - started))
         self._emit(now, actions, self.id)
 
 
@@ -726,48 +733,25 @@ class IpPopulation(_Consumers):
     """Baseline consumers fetching whole contents over plain IP."""
 
     def __init__(self, net: Network, host: Host, region: str, content: Name,
-                 content_id: str, resolution: str, content_size: int,
-                 target_node: str, request_count: int, pattern: tuple,
-                 rng, records: list[RequestRecord], rid_counter,
-                 timeout_ms: float = 30_000.0):
+                 content_id: str, resolution: str, target_node: str,
+                 request_count: int, pattern: tuple, rng,
+                 records: list[RequestRecord], rid_counter, timeout_ms: float = 30_000.0):
         super().__init__(net, host, region, content, resolution, request_count,
                          pattern, rng, records, rid_counter)
         self.content_id = content_id
-        self.content_size = content_size
         self.target = target_node
         self.timeout_ms = timeout_ms
-        self._live: dict[int, tuple[int, float, Event]] = {}  # ip id -> (rid, t_issue, timeout)
-        self._verified: tuple[bytes, bytes] | None = None  # (payload, digest) last found intact
+        self._live: dict[int, tuple[int, float]] = {}  # ip id -> (rid, t_issue)
 
     def _begin(self, now: float, rid: int):
         ip_id = self.host.next_request_id()
-        ev = self.net.schedule(now + self.timeout_ms,
-                               lambda t, ip_id=ip_id: self._timeout(t, ip_id))
-        self._live[ip_id] = (rid, now, ev)
-        self.host.await_ip_response(ip_id, self._on_response)
+        self._live[ip_id] = (rid, now)
+        self.host.await_ip_response(ip_id, self._on_response, self.timeout_ms)
         req = IpRequest(self.host.id, self.target, ip_id, self.content_id, self.resolution)
         self.host.send_ip(req, IP_REQUEST_BYTES)
 
     def _on_response(self, now: float, msg: IpResponse):
-        meta = self._live.pop(msg.request_id, None)
-        if meta is None:
-            return
-        rid, t_issue, ev = meta
-        self.net.cancel(ev)
-        # The origin resends one bytes object; the tuple compare matches it by identity.
-        pair = (msg.payload, msg.digest)
-        ok = (msg.error is None and msg.payload is not None
-              and len(msg.payload) == self.content_size
-              and (pair == self._verified or compute_digest(msg.payload) == msg.digest))
-        if ok:
-            self._verified = pair
-        self._record(rid, t_issue, now, msg.src, "ok" if ok else "failed",
+        """End the request: a timeout has no sender and no payload."""
+        rid, t_issue = self._live.pop(msg.request_id)
+        self._record(rid, t_issue, now, msg.src, "ok" if msg.error is None else "failed",
                      len(msg.payload) if msg.payload else 0)
-
-    def _timeout(self, now: float, ip_id: int):
-        meta = self._live.pop(ip_id, None)
-        if meta is None:
-            return
-        self.host.forget_ip_response(ip_id)
-        rid, t_issue, _ev = meta
-        self._record(rid, t_issue, now, "", "failed", 0)

@@ -54,6 +54,8 @@ def test_validate_non_list_or_non_object_exits_2(override, capsys):
     "knobs.interest_lifetime_ms=-1", "knobs.interest_lifetime_ms=4294967296",
     "knobs.bucket_ms=0", "knobs.bucket_ms=-5", "knobs.scale_window_ms=0",
     "knobs.scale_window_ms=-1",
+    # a tick period below 0.5 ms never ends in useful time
+    "knobs.bucket_ms=0.4", "knobs.scale_window_ms=0.4", "populations.0.retransmit_ms=1e-9",
     # non-finite, boolean and non-integral values
     "knobs.interest_lifetime_ms=NaN", "knobs.chunk_size=Infinity", "knobs.bucket_ms=NaN",
     "knobs.chunk_size=1.5", "knobs.window=4.0", "seed=true", "mode=5",
@@ -196,4 +198,8 @@ def test_publish_bench_requires_icn_mode(tmp_path):
 
 
 def test_validate_missing_file(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "none.json")]) == 2
+    # The same diagnostic as every other, from load_scenario, on stdout.
+    path = str(tmp_path / "none.json")
+    assert main(["validate", path]) == 2
+    diags = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(d["code"], d["path"]) for d in diags] == [("io-error", path)]

@@ -42,8 +42,10 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # 400 and 421 before an IP request looked its origin object up once (-1
 # per request an origin serves: 1 in icn, 6 in cdn-only) and both periodic
 # ticks asked one ``live`` predicate (+1 per tick that asks it: 2 in each
-# mode).
-FRAMES = {"icn": 401, "cdn-only": 417}
+# mode); 401 in icn before the gateway appended its publish record to the
+# network's list rather than calling a per-host hook (-1 per publish: 1 in
+# icn).
+FRAMES = {"icn": 400, "cdn-only": 417}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))

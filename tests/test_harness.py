@@ -158,6 +158,28 @@ def test_corrupted_response_to_ip_consumer_fails_that_request(monkeypatch):
     assert sum(r.status == "ok" for r in run.records) == 5
 
 
+def test_ip_consumer_fails_each_request_at_its_timeout():
+    # Every origin response arrives after the 1 ms timeout: each request
+    # fails exactly then, once, and the late response is dropped.
+    run = run_scenario(MINI, None, ["mode=cdn-only", "knobs.origin_timeout_ms=1"])
+    assert sorted(r.request_id for r in run.records) == list(range(6))
+    for r in run.records:
+        assert (r.status, r.served_by, r.bytes_received) == ("failed", "", 0)
+        assert r.t_complete_ms == r.t_issue_ms + 1
+    assert not any(h._ip_waiters for h in run.hosts.values())
+
+
+def test_gateway_fetch_fails_at_its_timeout():
+    # Each origin fetch times out: its interests drop, every retransmission
+    # fetches again, and the requests fail at the attempt limit.
+    run = run_scenario(MINI, None, ["knobs.origin_timeout_ms=1"])
+    assert sorted(r.request_id for r in run.records) == list(range(6))
+    assert [(r.status, r.attempts) for r in run.records] == [("failed", 5)] * 6
+    assert run.origin_fetch_total() == 5
+    assert run.publishes == []
+    assert not any(h._ip_waiters for h in run.hosts.values())
+
+
 @pytest.mark.parametrize("mode, want", [
     ("icn", {"ndn": 4, "simnet": 1, "origin": 1}),
     ("cdn-only", {"ndn": 0, "simnet": 1, "origin": 1}),
@@ -283,7 +305,6 @@ def table_sizes(run) -> dict[tuple[str, str], int]:
     sizes = {}
     for node, host in run.hosts.items():
         sizes[node, "forwarder"] = element_count(host.fwd)
-        sizes[node, "_fetches"] = element_count(host._fetches)
         sizes[node, "_ip_waiters"] = element_count(host._ip_waiters)
         for face, app in host.apps.items():
             sizes[node, "outstanding@%d" % face] = element_count(app.__self__.outstanding)

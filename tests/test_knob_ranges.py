@@ -25,10 +25,6 @@ KNOBS = dataclasses.fields(Knobs)
 
 def inside(f):
     low, high, low_open = f.metadata["range"]
-    if f.name in ("bucket_ms", "scale_window_ms"):
-        # A run ticks the sampler and the scale check at these periods until
-        # its last request ends, so its tick count is its makespan / period.
-        low, low_open = 0.5, False
     if high is None:
         high = 10 * f.default  # an open upper end is capped at 10x the default
     if isinstance(f.default, int):
