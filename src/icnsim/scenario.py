@@ -2,10 +2,11 @@
 
 A scenario is one JSON document that fully determines a run: seed,
 domains, underlay topology, content catalog, the ordered northbound
-request list, consumer populations and tuning knobs. ``parse_doc``
-performs the full static check (references, invariants, static quota
-feasibility) without running anything and returns the scenario and
-machine-readable diagnostics.
+request list, consumer populations and tuning knobs. Each object type's
+fields are declared once, in a field table, and one reader reads every
+object from its table. ``parse_doc`` then performs the rest of the static
+check (references, invariants, static quota feasibility) without running
+anything and returns the scenario and machine-readable diagnostics.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .ndn import MalformedUri, Name
 from .orchestration import (AT_LEAST_1, NON_NEGATIVE, PERIOD_MS, POSITIVE, UNIT, DomainSpec,
                             Flavor, Knobs, QuotaExceeded, SliceSpec, Vim, VnfSpec,
                             allocate_all, slice_faults)
-
-NORTHBOUND_OPS = ("create_cdn_slice", "create_icn_slice", "upload",
-                  "transcode", "link", "destroy")
 
 
 @dataclass(slots=True)
@@ -110,7 +108,7 @@ def apply_overrides(doc: dict, sets: list[str]) -> list[Diagnostic]:
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert
             value = raw
         parts = key.split(".")
         target = doc
@@ -152,160 +150,222 @@ def range_text(rng) -> str:
     return "%s, %s" % (left, "inf)" if high is None else "%s]" % high)
 
 
-def _want(diags, doc, key, types, path, default=None, required=False, rng=None):
-    """Field ``key`` of ``doc``, or ``default`` if it is absent or null. A missing
-    required field, a value not of ``types`` (a number is never a bool and always
-    finite) or outside the range ``rng`` gets one diagnostic and reads as None."""
-    kpath = "%s.%s" % (path, key) if path else key
-    v = doc.get(key)
-    if v is None:
-        if required:
-            diags.append(Diagnostic("missing-field", kpath, "required field %r missing" % key))
-        return default
-    if (not isinstance(v, types) or isinstance(v, bool)
-            or isinstance(v, float) and not math.isfinite(v)):
-        diags.append(Diagnostic("bad-value", kpath, "field %r has wrong type" % key))
-        return None
-    if rng is not None:
+REQUIRED = object()  # the default of a field that must be given
+_BAD = object()  # a value that failed its check
+
+
+@dataclass(frozen=True, slots=True)
+class Tagged:
+    """An object whose ``tag`` field names the table of its other fields. An
+    absent tag reads as ``implied[1]`` when the object has key ``implied[0]``."""
+    tag: str
+    tables: dict
+    implied: tuple = ()
+
+
+# A field table maps each key of an object type to (kind, range, default).
+# A kind is int, float, str, object (any value), Fraction (a number or text
+# such as "1/4"), a table (a nested object), a Tagged, or a one-element list
+# of a table or Tagged (a list of objects). A number's range is (low, high,
+# low_open), an end None if open; a string's range lists its allowed values.
+_STR = (str, None, REQUIRED)
+FLAVOR = {key: (int, AT_LEAST_1, REQUIRED) for key in ("vcpus", "ram_mb", "disk_gb")}
+DOMAIN = {"name": _STR, "region": (str, None, ""), "quota": (FLAVOR, None, REQUIRED)}
+NODE = {"id": _STR, "cs_capacity_bytes": (int, NON_NEGATIVE, 0)}
+# Topology links and intra-slice links alike.
+LINK = {"a": _STR, "b": _STR, "latency_ms": (float, NON_NEGATIVE, REQUIRED),
+        "bandwidth_mbps": (float, POSITIVE, REQUIRED)}
+TOPOLOGY = {"nodes": ([NODE], None, []), "links": ([LINK], None, [])}
+RESOLUTION = {"tag": _STR, "scale": (Fraction, (0, 1, True), REQUIRED)}
+CONTENT = {"content_id": _STR, "size_bytes": (int, NON_NEGATIVE, REQUIRED),
+           "source_resolution": _STR, "resolutions": ([RESOLUTION], None, [])}
+VNF = {"role": _STR, "domain": _STR, "node": _STR,
+       "cs_capacity_bytes": (int, NON_NEGATIVE, None), "flavor": (FLAVOR, None, REQUIRED)}
+SLICE = {"slice": _STR, "duration_ms": (float, POSITIVE, 86_400_000.0),
+         "vnfs": ([VNF], None, []), "links": ([LINK], None, [])}
+OP = Tagged("op", {
+    "create_cdn_slice": SLICE, "create_icn_slice": SLICE,
+    "upload": {"slice": _STR, "content_id": _STR},
+    "transcode": {"slice": _STR, "content_id": _STR, "tag": _STR},
+    "link": {"cdn": _STR, "icn": _STR, "weight": (float, UNIT, None),
+             "prefix": (str, None, "/cdn")},
+    "destroy": {"slice": _STR}})
+PATTERN = Tagged("kind", {"uniform": {"interval_ms": (float, NON_NEGATIVE, REQUIRED)},
+                          "poisson": {"rate_per_s": (float, POSITIVE, REQUIRED)}},
+                 ("interval_ms", "uniform"))
+POPULATION = {"region": _STR, "attach_node": _STR,
+              "request_count": (int, NON_NEGATIVE, REQUIRED), "content": _STR,
+              "retransmit_ms": (float, PERIOD_MS, 4500.0), "pattern": (PATTERN, None, REQUIRED)}
+KNOBS = {f.name: (type(f.default), f.metadata["range"], f.default) for f in fields(Knobs)}
+SCENARIO = {"seed": (int, None, 0), "mode": (str, ("icn", "cdn-only"), "icn"),
+            "knobs": (KNOBS, None, {}), "domains": ([DOMAIN], None, []),
+            "topology": (TOPOLOGY, None, {}), "contents": ([CONTENT], None, []),
+            "northbound": ([OP], None, []), "populations": ([POPULATION], None, []),
+            "name": (object, None, None)}
+_SCALARS = (int, float, str, object)
+
+
+def _read(diags, obj, table, path, unknown=None):
+    """Read the object ``obj`` by ``table``: (fields, ok).
+
+    A scalar that is missing or null reads as its default, or is a
+    ``missing-field`` if it has none. Any other field that is missing reads
+    as its default or as ``{}``: an object then reports its own missing
+    fields, and a scale is a bad value. Null reads as missing only in an
+    object field with a default. A field that fails its check gets one
+    ``bad-value`` and reads as its default, or None if it has none; a list
+    reads as None. ``ok`` is False when a field with no default failed.
+    Keys not in the table then get ``unknown-field``, in ``unknown`` if
+    given.
+    """
+    out = {}
+    tag = None
+    if type(table) is Tagged:
+        tag = table.tag
+        value = obj.get(tag)
+        if tag not in obj and table.implied and table.implied[0] in obj:
+            value = table.implied[1]
+        if type(value) is not str or value not in table.tables:
+            _bad(diags, _join(path, tag), "%s must be one of %s" % (tag, tuple(table.tables)))
+            return None, False
+        out[tag] = value
+        table = table.tables[value]
+    ok = True
+    for key, (kind, rng, default) in table.items():
+        kpath = _join(path, key)
+        scalar = kind in _SCALARS
+        v = obj.get(key) if scalar else obj.get(key, {} if default is REQUIRED else default)
+        if v is None and scalar:
+            if default is REQUIRED:
+                diags.append(Diagnostic("missing-field", kpath, "required field %r missing" % key))
+                ok = False
+            out[key] = None if default is REQUIRED else default
+            continue
+        if v is None and type(default) is dict:
+            v = default
+        v = _value(diags, v, kind, rng, kpath, key)
+        if v is _BAD:
+            ok = ok and default is not REQUIRED
+            if type(kind) is list or default is REQUIRED:
+                v = None
+            else:
+                v = default if scalar else _value(diags, default, kind, rng, kpath, key)
+        out[key] = v
+    for key in obj:
+        if key not in table and key != tag:
+            (diags if unknown is None else unknown).append(
+                Diagnostic("unknown-field", _join(path, key), "unknown field %r" % key))
+    return out, ok
+
+
+def _value(diags, v, kind, rng, path, key):
+    """``v`` checked and read as ``kind``, or _BAD after one diagnostic."""
+    if type(kind) is list:
+        if not isinstance(v, list):
+            return _bad(diags, path, "field %r must be a list" % key)
+        items = []
+        for i, item in enumerate(v):
+            ipath = "%s.%d" % (path, i)
+            if not isinstance(item, dict):
+                _bad(diags, ipath, "%s element must be an object" % key)
+                items.append(None)
+                continue
+            item, ok = _read(diags, item, kind[0], ipath)
+            # A northbound op keeps its good fields, so each reference is checked.
+            items.append(item if ok or kind[0] is OP else None)
+        return items
+    if type(kind) is dict or type(kind) is Tagged:
+        if not isinstance(v, dict):
+            return _bad(diags, path, "field %r must be an object" % key)
+        out, ok = _read(diags, v, kind, path)
+        return out if ok else _BAD
+    if kind is Fraction:
+        try:
+            v = Fraction(str(v))
+        except (ValueError, ZeroDivisionError):
+            return _bad(diags, path, "field %r must be a number or a ratio" % key)
+    elif kind is float:
+        if type(v) is not int and (type(v) is not float or not math.isfinite(v)):
+            return _bad(diags, path, "field %r has wrong type" % key)
+        try:
+            v = float(v)
+        except OverflowError:
+            return _bad(diags, path, "field %r is too large" % key)
+    elif type(v) is not kind and kind is not object:
+        return _bad(diags, path, "field %r has wrong type" % key)
+    if type(v) is str:
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            return _bad(diags, path, "field %r is not UTF-8" % key)
+        if rng is not None and v not in rng:
+            return _bad(diags, path, "field %r must be one of %s" % (key, rng))
+    elif rng is not None:
         low, high, low_open = rng
         if (low is not None and (v <= low if low_open else v < low)
                 or high is not None and v > high):
-            diags.append(Diagnostic("bad-value", kpath,
-                                    "field %r must be in %s" % (key, range_text(rng))))
-            return None
+            return _bad(diags, path, "field %r must be in %s" % (key, range_text(rng)))
     return v
 
 
-def _objects(diags, doc, key, path):
-    """Yield (path, object) for each element of list field ``key``; a field
-    that is not a list, or an element that is not an object, gets a
-    ``bad-value`` diagnostic at its own path instead."""
-    fpath = "%s.%s" % (path, key) if path else key
-    items = doc.get(key, [])
-    if not isinstance(items, list):
-        diags.append(Diagnostic("bad-value", fpath, "field %r must be a list" % key))
-        return
-    for i, item in enumerate(items):
-        ipath = "%s.%d" % (fpath, i)
-        if isinstance(item, dict):
-            yield ipath, item
-        else:
-            diags.append(Diagnostic("bad-value", ipath, "%s element must be an object" % key))
+def _bad(diags, path, message):
+    diags.append(Diagnostic("bad-value", path, message))
+    return _BAD
 
 
-def _parse_flavor(diags, doc, path) -> Flavor | None:
-    if not isinstance(doc, dict):
-        diags.append(Diagnostic("bad-value", path, "flavor must be an object"))
-        return None
-    vals = [_want(diags, doc, k, int, path, required=True, rng=AT_LEAST_1)
-            for k in ("vcpus", "ram_mb", "disk_gb")]
-    return None if None in vals else Flavor(*vals)
+def _join(path, key):
+    return "%s.%s" % (path, key) if path else key
 
 
-def _parse_pattern(diags, doc, path) -> tuple | None:
-    if not isinstance(doc, dict):
-        diags.append(Diagnostic("bad-value", path, "pattern must be an object"))
-        return None
-    kind = doc.get("kind", "uniform" if "interval_ms" in doc else None)
-    for pkind, key, rng in (("uniform", "interval_ms", NON_NEGATIVE),
-                            ("poisson", "rate_per_s", POSITIVE)):
-        if kind == pkind:
-            v = _want(diags, doc, key, (int, float), path, required=True, rng=rng)
-            return None if v is None else (kind, float(v))
-    diags.append(Diagnostic("bad-value", path + ".kind",
-                            "pattern kind must be uniform or poisson"))
-    return None
+def _items(items, path):
+    """(path, object) for each element of a read list that was not dropped."""
+    return (("%s.%d" % (path, i), x) for i, x in enumerate(items or ()) if x is not None)
 
 
 def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[Diagnostic]]:
-    diags: list[Diagnostic] = []
+    """Read ``doc`` by the field tables, then make the checks that span
+    objects: references, duplicates, the slice rules and the quota replay."""
     if not isinstance(doc, dict):
         return None, [Diagnostic("parse-error", "", "scenario must be a JSON object")]
+    diags: list[Diagnostic] = []
 
-    seed = _want(diags, doc, "seed", int, "", default=0)
-    mode = _want(diags, doc, "mode", str, "", default="icn")
-    if mode is not None and mode not in ("icn", "cdn-only"):
-        diags.append(Diagnostic("bad-value", "mode", "mode must be icn or cdn-only"))
+    def fault(code, path, message):
+        diags.append(Diagnostic(code, path, message))
 
-    knobs = Knobs()
-    kdoc = _want(diags, doc, "knobs", dict, "", default={}) or {}
-    for f in fields(Knobs):
-        kind = type(f.default)
-        v = _want(diags, kdoc, f.name, kind if kind is int else (int, float), "knobs",
-                  rng=f.metadata["range"])
-        if v is not None:
-            setattr(knobs, f.name, kind(v))
-    for k in kdoc:
-        if not any(k == f.name for f in fields(Knobs)):
-            diags.append(Diagnostic("unknown-field", "knobs.%s" % k, "unknown knob %r" % k))
+    unknown: list[Diagnostic] = []  # top-level unknown keys come last
+    top, _ = _read(diags, doc, SCENARIO, "", unknown)
+    topo = top["topology"]
 
     domains: list[DomainSpec] = []
-    seen_domains = set()
-    for path, d in _objects(diags, doc, "domains", ""):
-        dname = _want(diags, d, "name", str, path, required=True)
-        region = _want(diags, d, "region", str, path, default="")
-        quota = _parse_flavor(diags, d.get("quota", {}), path + ".quota")
-        if dname is None or quota is None:
-            continue
-        if dname in seen_domains:
-            diags.append(Diagnostic("duplicate", path + ".name", "duplicate domain %r" % dname))
-            continue
-        seen_domains.add(dname)
-        domains.append(DomainSpec(dname, region or "", quota))
+    for path, d in _items(top["domains"], "domains"):
+        if any(d["name"] == x.name for x in domains):
+            fault("duplicate", path + ".name", "duplicate domain %r" % d["name"])
+        else:
+            domains.append(DomainSpec(d["name"], d["region"], Flavor(**d["quota"])))
 
-    topo = _want(diags, doc, "topology", dict, "", default={}) or {}
     nodes: list[NodeDef] = []
     node_ids: set[str] = set()
-    for path, n in _objects(diags, topo, "nodes", "topology"):
-        nid = _want(diags, n, "id", str, path, required=True)
-        cs = _want(diags, n, "cs_capacity_bytes", int, path, default=0, rng=NON_NEGATIVE)
-        if nid is None:
-            continue
-        if nid in node_ids:
-            diags.append(Diagnostic("duplicate", path + ".id", "duplicate node %r" % nid))
-            continue
-        node_ids.add(nid)
-        nodes.append(NodeDef(nid, cs))
+    for path, n in _items(topo["nodes"], "topology.nodes"):
+        if n["id"] in node_ids:
+            fault("duplicate", path + ".id", "duplicate node %r" % n["id"])
+        else:
+            node_ids.add(n["id"])
+            nodes.append(NodeDef(n["id"], n["cs_capacity_bytes"]))
 
-    contents: list[ContentDef] = []
     content_by_id: dict[str, ContentDef] = {}
-    for path, c in _objects(diags, doc, "contents", ""):
-        cid = _want(diags, c, "content_id", str, path, required=True)
-        size = _want(diags, c, "size_bytes", int, path, required=True, rng=NON_NEGATIVE)
-        src = _want(diags, c, "source_resolution", str, path, required=True)
-        if cid is None or size is None or src is None:
-            continue
+    for path, c in _items(top["contents"], "contents"):
+        cid = c["content_id"]
         if cid in content_by_id:
-            diags.append(Diagnostic("duplicate", path + ".content_id",
-                                    "duplicate content %r" % cid))
+            fault("duplicate", path + ".content_id", "duplicate content %r" % cid)
             continue
-        resolutions = []
-        tags = {src}
-        for rpath, r in _objects(diags, c, "resolutions", path):
-            tag = _want(diags, r, "tag", str, rpath, required=True)
-            scale = r.get("scale")
-            if tag is None:
-                continue
-            if tag in tags:
-                diags.append(Diagnostic("duplicate", rpath + ".tag",
-                                        "duplicate resolution %r" % tag))
-                continue
-            try:
-                frac = Fraction(str(scale))
-            except (ValueError, ZeroDivisionError, TypeError):
-                diags.append(Diagnostic("bad-value", rpath + ".scale", "bad scale"))
-                continue
-            if not 0 < frac <= 1:
-                diags.append(Diagnostic("bad-value", rpath + ".scale",
-                                        "scale must be in (0, 1]"))
-                continue
-            tags.add(tag)
-            resolutions.append((tag, frac))
-        cd = ContentDef(cid, size, src, resolutions)
-        contents.append(cd)
-        content_by_id[cid] = cd
+        cd = content_by_id[cid] = ContentDef(cid, c["size_bytes"], c["source_resolution"])
+        for rpath, r in _items(c["resolutions"], path + ".resolutions"):
+            if cd.size_at(r["tag"]) is not None:
+                fault("duplicate", rpath + ".tag", "duplicate resolution %r" % r["tag"])
+            else:
+                cd.resolutions.append((r["tag"], r["scale"]))
 
-    # Northbound: parse ops, check slices, replay quotas, collect what exists.
+    # Northbound: check slices, replay quotas, collect what exists.
     northbound: list[dict] = []
     slice_labels: dict[str, str] = {}  # label -> kind
     slice_allocs: dict[str, list] = {}
@@ -313,188 +373,123 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     produced: set[tuple[str, str]] = set()  # (content_id, resolution)
     seen_links: set[tuple[str, str]] = set()  # linked node pairs, (low, high)
     link_prefixes: list[Name] = []
-    for path, op in _objects(diags, doc, "northbound", ""):
-        kind = op.get("op")
-        if kind not in NORTHBOUND_OPS:
-            diags.append(Diagnostic("bad-value", path + ".op",
-                                    "op must be one of %s" % (NORTHBOUND_OPS,)))
-            continue
-        rec = {"op": kind}
+    for path, op in _items(top["northbound"], "northbound"):
+        kind = op["op"]
         if kind in ("create_cdn_slice", "create_icn_slice"):
-            label = _want(diags, op, "slice", str, path, required=True)
-            duration = _want(diags, op, "duration_ms", (int, float), path,
-                             default=86_400_000.0, rng=POSITIVE)
+            label = op["slice"]
             if label is None:
                 continue
             if label in slice_labels:
-                diags.append(Diagnostic("duplicate", path + ".slice",
-                                        "duplicate slice label %r" % label))
+                fault("duplicate", path + ".slice", "duplicate slice label %r" % label)
                 continue
             skind = "CDN" if kind == "create_cdn_slice" else "ICN"
-            parsed = len(diags)
-            vnfs: list[VnfSpec] = []
-            for vpath, v in _objects(diags, op, "vnfs", path):
-                role = _want(diags, v, "role", str, vpath, required=True)
-                dom = _want(diags, v, "domain", str, vpath, required=True)
-                nid = _want(diags, v, "node", str, vpath, required=True)
-                cs = _want(diags, v, "cs_capacity_bytes", int, vpath, rng=NON_NEGATIVE)
-                flavor = _parse_flavor(diags, v.get("flavor", {}), vpath + ".flavor")
-                if None not in (role, dom, nid) and flavor is not None:
-                    vnfs.append(VnfSpec(role, dom, flavor, nid, cs))
-            links = []
-            for lpath, l in _objects(diags, op, "links", path):
-                a = _want(diags, l, "a", str, lpath, required=True)
-                b = _want(diags, l, "b", str, lpath, required=True)
-                lat = _want(diags, l, "latency_ms", (int, float), lpath, required=True)
-                bw = _want(diags, l, "bandwidth_mbps", (int, float), lpath, required=True)
-                if None not in (a, b, lat, bw):
-                    links.append((a, b, float(lat), float(bw)))
-                    seen_links.add((a, b) if a < b else (b, a))
-            spec = SliceSpec(skind, float(duration or 0), vnfs, links)
-            if len(diags) == parsed:
-                # Every vnf and link parsed, so rule sub-paths index the document.
-                for code, sub, message in slice_faults(spec, vims, node_ids):
-                    diags.append(Diagnostic(code, "%s.%s" % (path, sub) if sub else path,
-                                            message))
+            vnfs = [VnfSpec(v["role"], v["domain"], Flavor(**v["flavor"]), v["node"],
+                            v["cs_capacity_bytes"]) for _, v in _items(op["vnfs"], "")]
+            links = [(l["a"], l["b"], l["latency_ms"], l["bandwidth_mbps"])
+                     for _, l in _items(op["links"], "")]
+            seen_links.update((a, b) if a < b else (b, a) for a, b, _, _ in links)
+            op["spec"] = SliceSpec(skind, op["duration_ms"], vnfs, links)
+            # Rule sub-paths index the document only if no vnf or link was dropped.
+            faults = None
+            if all(x is not None and None not in x for x in (op["vnfs"], op["links"])):
+                faults = slice_faults(op["spec"], vims, node_ids)
+                for code, sub, message in faults:
+                    fault(code, "%s.%s" % (path, sub) if sub else path, message)
             node_ids.update(v.node for v in vnfs)
-            if len(diags) == parsed:
+            if faults == []:
                 try:
                     slice_allocs[label] = allocate_all(vims, vnfs)
                 except QuotaExceeded as e:
-                    diags.append(Diagnostic("QuotaExceeded", path,
-                                            "domain %r cannot fit slice %r" % (e.domain, label)))
+                    fault("QuotaExceeded", path,
+                          "domain %r cannot fit slice %r" % (e.domain, label))
             slice_labels[label] = skind
-            rec.update(slice=label, spec=spec)
         elif kind in ("upload", "transcode"):
-            label = _want(diags, op, "slice", str, path, required=True)
-            cid = _want(diags, op, "content_id", str, path, required=True)
-            tag = _want(diags, op, "tag", str, path, required=True) if kind == "transcode" else None
+            label, cid, tag = op["slice"], op["content_id"], op.get("tag")
             if label is not None and slice_labels.get(label) != "CDN":
-                diags.append(Diagnostic("bad-reference", path + ".slice",
-                                        "%s needs an existing CDN slice" % kind))
-            cd = content_by_id.get(cid or "")
+                fault("bad-reference", path + ".slice", "%s needs an existing CDN slice" % kind)
+            cd = content_by_id.get(cid)
             if cid is not None and cd is None:
-                diags.append(Diagnostic("bad-reference", path + ".content_id",
-                                        "unknown content %r" % cid))
+                fault("bad-reference", path + ".content_id", "unknown content %r" % cid)
             elif cd is not None and kind == "upload":
                 produced.add((cid, cd.source_resolution))
             elif cd is not None and tag is not None:
-                if tag != cd.source_resolution and all(t != tag for t, _ in cd.resolutions):
-                    diags.append(Diagnostic("bad-reference", path + ".tag",
-                                            "resolution %r not declared for %r" % (tag, cid)))
+                if cd.size_at(tag) is None:
+                    fault("bad-reference", path + ".tag",
+                          "resolution %r not declared for %r" % (tag, cid))
                 else:
                     produced.add((cid, tag))
-            rec.update(slice=label, content_id=cid, tag=tag)
         elif kind == "link":
-            cdn = _want(diags, op, "cdn", str, path, required=True)
-            icn = _want(diags, op, "icn", str, path, required=True)
-            weight = _want(diags, op, "weight", (int, float), path, rng=UNIT)
-            prefix = _want(diags, op, "prefix", str, path, default="/cdn")
-            if cdn is not None and slice_labels.get(cdn) != "CDN":
-                diags.append(Diagnostic("bad-reference", path + ".cdn",
-                                        "link needs an existing CDN slice"))
-            if icn is not None and slice_labels.get(icn) != "ICN":
-                diags.append(Diagnostic("bad-reference", path + ".icn",
-                                        "link needs an existing ICN slice"))
+            for key, skind in (("cdn", "CDN"), ("icn", "ICN")):
+                if op[key] is not None and slice_labels.get(op[key]) != skind:
+                    fault("bad-reference", path + "." + key,
+                          "link needs an existing %s slice" % skind)
             try:
-                link_prefixes.append(Name.parse("/cdn" if prefix is None else prefix))
+                link_prefixes.append(Name.parse(op["prefix"]))
             except MalformedUri as e:
-                diags.append(Diagnostic("bad-value", path + ".prefix", str(e)))
-            rec.update(cdn=cdn, icn=icn, weight=weight, prefix=prefix)
+                fault("bad-value", path + ".prefix", str(e))
         elif kind == "destroy":
-            label = _want(diags, op, "slice", str, path, required=True)
+            label = op["slice"]
             if label is not None and label not in slice_labels:
-                diags.append(Diagnostic("bad-reference", path + ".slice",
-                                        "unknown slice %r" % label))
+                fault("bad-reference", path + ".slice", "unknown slice %r" % label)
             else:
                 for a in slice_allocs.pop(label, []):
                     vims[a.domain].release(a)
                 slice_labels.pop(label, None)
-            rec.update(slice=label)
-        northbound.append(rec)
+        northbound.append(op)
 
     links: list[LinkDef] = []
-    for path, l in _objects(diags, topo, "links", "topology"):
-        a = _want(diags, l, "a", str, path, required=True)
-        b = _want(diags, l, "b", str, path, required=True)
-        lat = _want(diags, l, "latency_ms", (int, float), path, required=True,
-                    rng=NON_NEGATIVE)
-        bw = _want(diags, l, "bandwidth_mbps", (int, float), path, required=True, rng=POSITIVE)
-        if None in (a, b, lat, bw):
-            continue
+    for path, l in _items(topo["links"], "topology.links"):
+        a, b = l["a"], l["b"]
         for end, key in ((a, "a"), (b, "b")):
             if end not in node_ids:
-                diags.append(Diagnostic("bad-reference", "%s.%s" % (path, key),
-                                        "unknown node %r in link" % end))
+                fault("bad-reference", "%s.%s" % (path, key), "unknown node %r in link" % end)
+        pair = (a, b) if a < b else (b, a)
         if a not in node_ids or b not in node_ids:
             continue
-        key = (a, b) if a < b else (b, a)
-        if key in seen_links:
-            diags.append(Diagnostic("duplicate", path, "duplicate link %r-%r" % (a, b)))
+        if pair in seen_links:
+            fault("duplicate", path, "duplicate link %r-%r" % (a, b))
             continue
-        seen_links.add(key)
-        links.append(LinkDef(a, b, float(lat), float(bw)))
+        seen_links.add(pair)
+        links.append(LinkDef(a, b, l["latency_ms"], l["bandwidth_mbps"]))
 
     populations: list[PopulationDef] = []
-    for path, p in _objects(diags, doc, "populations", ""):
-        region = _want(diags, p, "region", str, path, required=True)
-        attach = _want(diags, p, "attach_node", str, path, required=True)
-        count = _want(diags, p, "request_count", int, path, required=True, rng=NON_NEGATIVE)
-        content = _want(diags, p, "content", str, path, required=True)
-        retrans = _want(diags, p, "retransmit_ms", (int, float), path, default=4500.0,
-                        rng=PERIOD_MS)
-        pattern = _parse_pattern(diags, p.get("pattern", {}), path + ".pattern")
-        if None in (region, attach, count, content, retrans) or pattern is None:
-            continue
-        if attach not in node_ids:
-            diags.append(Diagnostic("bad-reference", path + ".attach_node",
-                                    "unknown node %r" % attach))
+    for path, p in _items(top["populations"], "populations"):
+        if p["attach_node"] not in node_ids:
+            fault("bad-reference", path + ".attach_node", "unknown node %r" % p["attach_node"])
             continue
         try:
-            cname = Name.parse(content)
+            cname = Name.parse(p["content"])
         except MalformedUri as e:
-            diags.append(Diagnostic("bad-value", path + ".content", str(e)))
+            fault("bad-value", path + ".content", str(e))
             continue
         if len(cname) < 2:
-            diags.append(Diagnostic("bad-value", path + ".content",
-                                    "content name needs <prefix>/<id>/<resolution>"))
+            fault("bad-value", path + ".content", "content name needs <prefix>/<id>/<resolution>")
             continue
-        cid = cname.components[-2].decode("utf-8", "replace")
-        resolution = cname.components[-1].decode("utf-8", "replace")
+        cid, resolution = (c.decode("utf-8", "replace") for c in cname.components[-2:])
         cd = content_by_id.get(cid)
+        size = cd and cd.size_at(resolution)
         if cd is None:
-            diags.append(Diagnostic("bad-reference", path + ".content",
-                                    "unknown content id %r" % cid))
-            continue
-        size = cd.size_at(resolution)
-        if size is None:
-            diags.append(Diagnostic("bad-reference", path + ".content",
-                                    "resolution %r not declared for %r" % (resolution, cid)))
-            continue
-        if (cid, resolution) not in produced:
-            diags.append(Diagnostic("bad-reference", path + ".content",
-                                    "no upload or transcode produces %r at %r"
-                                    % (cid, resolution)))
-            continue
-        if mode == "icn" and link_prefixes and not any(
+            problem = "unknown content id %r" % cid
+        elif size is None:
+            problem = "resolution %r not declared for %r" % (resolution, cid)
+        elif (cid, resolution) not in produced:
+            problem = "no upload or transcode produces %r at %r" % (cid, resolution)
+        elif top["mode"] == "icn" and link_prefixes and not any(
                 pref.is_prefix_of(cname) for pref in link_prefixes):
-            diags.append(Diagnostic("bad-reference", path + ".content",
-                                    "content name is not under any linked prefix"))
+            problem = "content name is not under any linked prefix"
+        else:
+            populations.append(PopulationDef(
+                p["region"], p["attach_node"], p["request_count"], cname,
+                tuple(p["pattern"].values()), p["retransmit_ms"], cid, resolution, size))
             continue
-        populations.append(PopulationDef(region, attach, count, cname, pattern,
-                                         float(retrans), cid, resolution, size))
+        fault("bad-reference", path + ".content", problem)
 
-    known_top = {"seed", "mode", "domains", "topology", "contents",
-                 "northbound", "populations", "knobs", "name"}
-    for k in doc:
-        if k not in known_top:
-            diags.append(Diagnostic("unknown-field", k, "unknown top-level field %r" % k))
-
+    diags += unknown
     if diags:
         return None, diags
-    return Scenario(seed, mode, domains, nodes, links, contents,
-                    northbound, populations, knobs,
-                    str(doc.get("name", name))), []
+    return Scenario(top["seed"], top["mode"], domains, nodes, links,
+                    list(content_by_id.values()), northbound, populations,
+                    Knobs(**top["knobs"]), name if top["name"] is None else str(top["name"])), []
 
 
 def load_scenario(path: str | Path, sets: list[str] = ()) -> tuple[Scenario | None, list[Diagnostic]]:
@@ -505,6 +500,8 @@ def load_scenario(path: str | Path, sets: list[str] = ()) -> tuple[Scenario | No
         return None, [Diagnostic("io-error", str(p), str(e))]
     except json.JSONDecodeError as e:
         return None, [Diagnostic("parse-error", str(p), "line %d: %s" % (e.lineno, e.msg))]
+    except ValueError as e:  # an integer too long to convert
+        return None, [Diagnostic("parse-error", str(p), str(e))]
     diags = apply_overrides(doc, list(sets))
     if diags:
         return None, diags

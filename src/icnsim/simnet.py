@@ -101,7 +101,6 @@ class Network:
         self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = itertools.count().__next__
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
-        self.delivery_filter: Callable | None = None
         # (content_id, resolution, bytes, ms) per gateway publish
         self.publishes: list[tuple[str, str, int, float]] = []
 
@@ -356,17 +355,11 @@ class Host:
     def receive(self, link: _LinkDir, now: float):
         """Take the message at the head of ``link`` off it and handle it.
 
-        A host removed from the network takes nothing, and the network's
-        ``delivery_filter``, if set, may rewrite or drop the message first;
-        either way it is not counted as received.
+        A host removed from the network takes nothing and counts nothing.
         """
         msg, nbytes = link.in_flight.popleft()
         if self.removed:
             return
-        if self.net.delivery_filter is not None:
-            msg = self.net.delivery_filter(now, link.src, self.id, msg)
-            if msg is None:
-                return
         self.counters.rx_pkts += 1
         self.counters.rx_bytes += nbytes
         # ``face_by_peer`` holds ``link.src``: adding the link gave it a face.

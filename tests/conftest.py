@@ -46,6 +46,27 @@ def quota_snapshot(orch) -> dict[str, tuple[int, int, int]]:
     return out
 
 
+def filter_deliveries(monkeypatch, fn):
+    """Pass each message delivered to a live host through
+    ``fn(now, src, dst, msg)``, which returns the message to receive (the
+    same or a rewritten one) or None to drop it. A dropped message is not
+    counted as received. Install it before adding links: a link binds
+    ``Host.receive`` when it is added."""
+    receive = Host.receive
+
+    def filtered(self, link, now):
+        if not self.removed:
+            msg, nbytes = link.in_flight[0]
+            msg = fn(now, link.src, self.id, msg)
+            if msg is None:
+                link.in_flight.popleft()
+                return
+            link.in_flight[0] = (msg, nbytes)
+        receive(self, link, now)
+
+    monkeypatch.setattr(Host, "receive", filtered)
+
+
 def build_chain(node_specs, links):
     """A small topology: node_specs is [(id, cs_capacity)], links is
     [(a, b, latency_ms, mbps)]. Returns (net, {id: host})."""

@@ -22,7 +22,8 @@ from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator, QuotaExceede
                                   SliceSpec, VnfSpec)
 from icnsim.simnet import Network, Population, WireData
 
-from conftest import REFERENCE, assert_timeseries_adds_up, build_chain, quota_snapshot
+from conftest import (REFERENCE, assert_timeseries_adds_up, build_chain, filter_deliveries,
+                      quota_snapshot)
 from ndn_codec import encode_packet
 
 NDN_ROLES = ("ndn-node", "ndn-gateway")
@@ -170,7 +171,7 @@ def test_criterion_6_analytic_oracle_equivalence():
             "brute force on 1000 instances")
 
 
-def test_criterion_7_conservation_and_integrity(reference_run):
+def test_criterion_7_conservation_and_integrity(reference_run, monkeypatch):
     run, _wall, _out = reference_run
     size = run.scenario.contents[0].size_bytes
     ok = [r for r in run.records if r.status == "ok"]
@@ -180,14 +181,6 @@ def test_criterion_7_conservation_and_integrity(reference_run):
     # Injected single-byte corruption: integrity drop plus retransmission,
     # never a corrupted delivery.
     content = Name.parse("/x/clip/hd")
-    net, hosts = build_chain(
-        [("a", 0), ("b", 0), ("c", 1 << 20)],
-        [("a", "b", 3.0, 100.0), ("b", "c", 4.0, 100.0)])
-    payload = b"v" * 2048
-    for d in chunk_content(content, payload, 8192, 10_000_000):
-        hosts["c"].fwd.cs.insert(0.0, d)
-    hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
-    hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
     fired = []
 
     def corrupt_once(now, src, dst, msg):
@@ -200,7 +193,15 @@ def test_criterion_7_conservation_and_integrity(reference_run):
                                            msg.data.final_segment), msg.served_by)
         return msg
 
-    net.delivery_filter = corrupt_once
+    filter_deliveries(monkeypatch, corrupt_once)
+    net, hosts = build_chain(
+        [("a", 0), ("b", 0), ("c", 1 << 20)],
+        [("a", "b", 3.0, 100.0), ("b", "c", 4.0, 100.0)])
+    payload = b"v" * 2048
+    for d in chunk_content(content, payload, 8192, 10_000_000):
+        hosts["c"].fwd.cs.insert(0.0, d)
+    hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
+    hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
     records = []
     pop = Population(net, hosts["a"], "T", content, "hd", 1, 1,
                      ("uniform", 0.0), 4500.0, random.Random(5), records,

@@ -66,7 +66,14 @@ def test_validate_non_list_or_non_object_exits_2(override, capsys):
     "knobs.gateway_weight=-0.01", "knobs.gateway_weight=1.01", "knobs.origin_timeout_ms=0",
     "knobs.per_packet_cost_ms=-0.01", "knobs.publish_freshness_ms=-1",
     "knobs.publish_freshness_ms=4294967296", "knobs.horizon_ms=0",
-    "knobs.transcode_rate_bps=0", "knobs.scale_threshold=-0.01", "knobs.retransmit_max=0"])
+    "knobs.transcode_rate_bps=0", "knobs.scale_threshold=-0.01", "knobs.retransmit_max=0",
+    # a number too large for a float, and strings that are not UTF-8
+    *(pytest.param(path + "=1" + "0" * 400, id=path + "=10**400") for path in (
+        "knobs.bucket_ms", "topology.links.0.latency_ms", "populations.0.retransmit_ms")),
+    # too many digits for an int: the override reads as text
+    pytest.param("knobs.window=1" + "0" * 5000, id="knobs.window=10**5000"),
+    r'populations.0.content="/cdn/\ud800/720p"', r'northbound.3.prefix="/c\ud800"',
+    r'populations.0.region="\ud800"'])
 def test_validate_knob_out_of_range_exits_2(override, tmp_path, capsys):
     # Most of these used to validate (or crash validate), and then the run
     # failed, never ended, or ran with a value the document did not say.
@@ -203,3 +210,12 @@ def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", path]) == 2
     diags = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(d["code"], d["path"]) for d in diags] == [("io-error", path)]
+
+
+def test_validate_integer_too_long_to_convert_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError for it, not a JSONDecodeError.
+    p = tmp_path / "huge.json"
+    p.write_text(MINI.read_text().replace('"window": 4', '"window": 1' + "0" * 5000))
+    assert main(["validate", str(p)]) == 2
+    diags = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(d["code"], d["path"]) for d in diags] == [("parse-error", str(p))]

@@ -6,7 +6,7 @@ import pytest
 from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
 from icnsim.simnet import Population, WireData
 
-from conftest import build_chain
+from conftest import build_chain, filter_deliveries
 from ndn_codec import encode_packet
 
 CONTENT = Name.parse("/x/clip/hd")
@@ -101,14 +101,7 @@ def test_concurrent_requests_share_outstanding_interests():
     assert hosts["a"].counters.tx_pkts == 1
 
 
-def test_corruption_drops_then_retransmission_recovers():
-    net, hosts = build_chain(
-        [("a", 0), ("b", 0), ("c", 1 << 20)],
-        [("a", "b", 3.0, 100.0), ("b", "c", 4.0, 100.0)])
-    payload = b"v" * 2048
-    preload(hosts["c"], payload)
-    hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
-    hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
+def test_corruption_drops_then_retransmission_recovers(monkeypatch):
     corrupted = []
 
     def corrupt_once(now, src, dst, msg):
@@ -121,7 +114,14 @@ def test_corruption_drops_then_retransmission_recovers():
                                     d.freshness_ms, d.final_segment), msg.served_by)
         return msg
 
-    net.delivery_filter = corrupt_once
+    filter_deliveries(monkeypatch, corrupt_once)
+    net, hosts = build_chain(
+        [("a", 0), ("b", 0), ("c", 1 << 20)],
+        [("a", "b", 3.0, 100.0), ("b", "c", 4.0, 100.0)])
+    payload = b"v" * 2048
+    preload(hosts["c"], payload)
+    hosts["a"].fwd.fib_insert(Name.parse("/x"), [(0, 1)])
+    hosts["b"].fwd.fib_insert(Name.parse("/x"), [(1, 1)])
     pop, records = make_population(net, hosts["a"], 1)
     pop.start()
     net.run_to_completion()

@@ -5,14 +5,14 @@ from collections import deque
 
 import pytest
 
-from icnsim import forwarder, harness, ndn, origin, simnet
+from icnsim import forwarder, ndn, origin, simnet
 from icnsim.harness import build_and_run, publish_bench, run_scenario
 from icnsim.ndn import Name
 from icnsim.origin import synthesize_payload
 from icnsim.scenario import ScenarioError, load_scenario
-from icnsim.simnet import IpResponse, Network
+from icnsim.simnet import IpResponse
 
-from conftest import MINI, assert_timeseries_adds_up
+from conftest import MINI, assert_timeseries_adds_up, filter_deliveries
 
 
 def load_mini_doc():
@@ -114,12 +114,7 @@ def test_corrupted_origin_response_is_refetched(monkeypatch):
             return dataclasses.replace(msg, payload=bytes(bad))
         return msg
 
-    class FilteredNetwork(Network):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.delivery_filter = corrupt_first
-
-    monkeypatch.setattr(harness, "Network", FilteredNetwork)
+    filter_deliveries(monkeypatch, corrupt_first)
     run = run_scenario(MINI)
     assert corrupted, "the corruption hook never fired"
     assert [r.status for r in run.records] == ["ok"] * 6
@@ -145,12 +140,7 @@ def test_corrupted_response_to_ip_consumer_fails_that_request(monkeypatch):
                 return dataclasses.replace(msg, payload=bytes(bad))
         return msg
 
-    class FilteredNetwork(Network):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.delivery_filter = corrupt_second
-
-    monkeypatch.setattr(harness, "Network", FilteredNetwork)
+    filter_deliveries(monkeypatch, corrupt_second)
     run = run_scenario(MINI, None, ["mode=cdn-only"])
     assert len(seen) == 6
     failed = [r for r in run.records if r.status == "failed"]

@@ -3,8 +3,11 @@ import dataclasses
 import json
 import re
 
+from fractions import Fraction
+
+from icnsim import scenario as sc
 from icnsim.orchestration import Knobs
-from icnsim.scenario import apply_overrides, load_scenario, parse_doc, range_text
+from icnsim.scenario import REQUIRED, Tagged, apply_overrides, load_scenario, parse_doc, range_text
 
 from conftest import MINI, REFERENCE, SCENARIOS
 
@@ -119,6 +122,85 @@ def test_readme_knob_table_matches_knobs():
     documented = [(name, ast.literal_eval(default), rng) for name, default, rng in rows]
     assert documented == [(f.name, f.default, range_text(f.metadata["range"]))
                           for f in dataclasses.fields(Knobs)]
+
+
+# Each field table, by the name the README gives its object, in README order.
+TABLES = [("scenario", sc.SCENARIO), ("knobs", sc.KNOBS), ("topology", sc.TOPOLOGY),
+          ("domain", sc.DOMAIN), ("flavor", sc.FLAVOR), ("node", sc.NODE), ("link", sc.LINK),
+          ("content", sc.CONTENT), ("resolution", sc.RESOLUTION), ("op", sc.OP),
+          ("vnf", sc.VNF), ("population", sc.POPULATION), ("pattern", sc.PATTERN)]
+NAMES = {id(table): name for name, table in TABLES}
+TYPES = {int: "integer", float: "number", str: "string", object: "any",
+         Fraction: "number or ratio"}
+
+
+def field_rows(obj, table):
+    for key, (kind, rng, default) in table.items():
+        if type(kind) is list:
+            kind_text = "list of `%s`" % NAMES[id(kind[0])]
+        else:
+            kind_text = TYPES[kind] if isinstance(kind, type) else "`%s`" % NAMES[id(kind)]
+        rng_text = ("" if rng is None else ", ".join("`%s`" % v for v in rng)
+                    if kind is str else "`%s`" % range_text(rng))
+        default_text = "required" if default is REQUIRED else "`%s`" % json.dumps(default)
+        yield "| %s | `%s` | %s | %s | %s |" % (obj, key, kind_text, rng_text, default_text)
+
+
+def reference_rows():
+    """The README's field reference, one row per field of each table. A
+    Tagged object's tag comes first, then the fields of each table it names;
+    the knobs have their own table."""
+    for name, table in TABLES:
+        if name == "knobs":
+            continue
+        if type(table) is not Tagged:
+            yield from field_rows("`%s`" % name, table)
+            continue
+        implied = ("`%s` if `%s` is given, else required" % table.implied[::-1]
+                   if table.implied else "required")
+        yield "| `%s` | `%s` | string | %s | %s |" % (
+            name, table.tag, ", ".join("`%s`" % t for t in table.tables), implied)
+        shown = []
+        for fields in table.tables.values():
+            if all(fields is not f for f in shown):
+                shown.append(fields)
+                tags = ", ".join("`%s`" % t for t, f in table.tables.items() if f is fields)
+                yield from field_rows("`%s` %s" % (name, tags), fields)
+
+
+def test_readme_field_reference_matches_tables():
+    lines = README.read_text().splitlines()
+    start = lines.index("| object | field | type | range | default |") + 2
+    end = lines.index("", start)
+    assert lines[start:end] == list(reference_rows())
+
+
+def test_every_field_table_is_named():
+    # Every table a scenario reaches has a README name, so has rows.
+    seen, todo = set(), [sc.SCENARIO]
+    while todo:
+        table = todo.pop()
+        seen.add(id(table))
+        tables = table.tables.values() if type(table) is Tagged else [table]
+        for fields in tables:
+            for kind, _, _ in fields.values():
+                kind = kind[0] if type(kind) is list else kind
+                if type(kind) in (dict, Tagged) and id(kind) not in seen:
+                    todo.append(kind)
+    assert seen == set(NAMES)
+
+
+def test_unknown_key_in_any_object_is_unknown_field():
+    doc = load_doc(MINI)
+    doc["topology"]["nodes"][0]["capacity"] = 1
+    doc["northbound"][2]["vnfs"][0]["flavor"]["gpus"] = 1
+    doc["populations"][0]["pattern"]["rate_per_s"] = 5
+    doc["populations"][0]["retransmit"] = 100
+    assert [(d.code, d.path) for d in parse_doc(doc)[1]] == [
+        ("unknown-field", "topology.nodes.0.capacity"),
+        ("unknown-field", "northbound.2.vnfs.0.flavor.gpus"),
+        ("unknown-field", "populations.0.pattern.rate_per_s"),
+        ("unknown-field", "populations.0.retransmit")]
 
 
 def test_upload_requires_existing_cdn_slice():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from icnsim.ndn import Interest, Name
 from icnsim.simnet import HorizonExceeded, Host, IpRequest, Network
 
-from conftest import build_chain
+from conftest import build_chain, filter_deliveries
 
 
 def test_equal_time_events_run_in_schedule_order():
@@ -25,20 +25,20 @@ def test_run_to_completion_empty_returns_now():
     assert net.run_to_completion() == 3.0
 
 
-def test_send_delivery_formula():
+def test_send_delivery_formula(monkeypatch):
     # 8192 bytes over 100 Mbps, 50 ms idle link: 0.65536 ms + 50 ms.
-    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 50.0, 100.0)])
     seen = []
-    net.delivery_filter = lambda now, src, dst, msg: (seen.append(now), msg)[1]
+    filter_deliveries(monkeypatch, lambda now, src, dst, msg: (seen.append(now), msg)[1])
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 50.0, 100.0)])
     net.send("a", "b", 8192, IpRequest("a", "b", 0, "c", "r"))
     net.run_to_completion()
     assert seen == [pytest.approx(50.65536, abs=1e-12)]
 
 
-def test_fifo_serialization_quantum():
-    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 50.0, 100.0)])
+def test_fifo_serialization_quantum(monkeypatch):
     seen = []
-    net.delivery_filter = lambda now, src, dst, msg: (seen.append(now), msg)[1]
+    filter_deliveries(monkeypatch, lambda now, src, dst, msg: (seen.append(now), msg)[1])
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 50.0, 100.0)])
     net.send("a", "b", 8192, IpRequest("a", "b", 0, "c", "r"))
     net.send("a", "b", 8192, IpRequest("a", "b", 1, "c", "r"))
     net.run_to_completion()
@@ -48,10 +48,11 @@ def test_fifo_serialization_quantum():
     assert seen[1] - seen[0] == pytest.approx(0.65536)
 
 
-def test_directions_do_not_share_serialization():
-    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
+def test_directions_do_not_share_serialization(monkeypatch):
     seen = []
-    net.delivery_filter = lambda now, src, dst, msg: (seen.append((dst, now)), msg)[1]
+    filter_deliveries(monkeypatch,
+                      lambda now, src, dst, msg: (seen.append((dst, now)), msg)[1])
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
     net.send("a", "b", 8192, IpRequest("a", "b", 0, "c", "r"))
     net.send("b", "a", 8192, IpRequest("b", "a", 1, "c", "r"))
     net.run_to_completion()
@@ -86,10 +87,11 @@ def test_message_to_a_removed_host_is_not_received():
     assert hosts["b"].counters.rx_bytes == 0
 
 
-def test_message_on_a_removed_link_between_live_hosts_is_delivered():
-    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
+def test_message_on_a_removed_link_between_live_hosts_is_delivered(monkeypatch):
     seen = []
-    net.delivery_filter = lambda now, src, dst, msg: (seen.append((src, dst)), msg)[1]
+    filter_deliveries(monkeypatch,
+                      lambda now, src, dst, msg: (seen.append((src, dst)), msg)[1])
+    net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
     net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
     net.schedule(1.0, lambda t: net.remove_link("a", "b"))
     net.run_to_completion()
@@ -99,9 +101,9 @@ def test_message_on_a_removed_link_between_live_hosts_is_delivered():
     assert hosts["b"].counters.rx_bytes == 500
 
 
-def test_delivery_dropped_by_the_filter_counts_no_rx():
+def test_delivery_dropped_by_the_filter_counts_no_rx(monkeypatch):
+    filter_deliveries(monkeypatch, lambda now, src, dst, msg: None)
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 1.0, 100.0)])
-    net.delivery_filter = lambda now, src, dst, msg: None
     net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
     net.run_to_completion()
     assert hosts["a"].counters.tx_pkts == 1
@@ -128,14 +130,15 @@ def test_cancelled_events_do_not_run():
     assert not net.active()
 
 
-def test_ip_routing_multi_hop():
+def test_ip_routing_multi_hop(monkeypatch):
+    deliveries = []
+    filter_deliveries(monkeypatch,
+                      lambda now, src, dst, msg: (deliveries.append((dst, now)), msg)[1])
     net, hosts = build_chain(
         [("a", 0), ("b", 0), ("c", 0)],
         [("a", "b", 5.0, 100.0), ("b", "c", 7.0, 100.0)])
     assert net.next_hop("a", "c") == "b"
     assert net.shortest_latency("a", "c") == 12.0
-    deliveries = []
-    net.delivery_filter = lambda now, src, dst, msg: (deliveries.append((dst, now)), msg)[1]
     hosts["a"].send_ip(IpRequest("a", "c", 0, "x", "r"), 512)
     net.run_to_completion()
     # Store-and-forward: serialization paid on each hop.
@@ -180,6 +183,15 @@ class _Sink(Host):
 
 
 def _run_network(links, ops, drop_every_other):
+    with pytest.MonkeyPatch.context() as mp:
+        if drop_every_other:
+            calls = []
+            filter_deliveries(mp, lambda now, src, dst, msg: (
+                calls.append(msg), None if len(calls) % 2 == 0 else msg)[1])
+        return _run_ops(links, ops)
+
+
+def _run_ops(links, ops):
     net = Network()
     log = []
     for nid in NODES:
@@ -188,10 +200,6 @@ def _run_network(links, ops, drop_every_other):
         net.add_host(h)
     for (a, b), (lat, mbps) in zip(PAIRS, links):
         net.add_link(a, b, lat, mbps)
-    if drop_every_other:
-        calls = []
-        net.delivery_filter = lambda now, src, dst, msg: (
-            calls.append(msg), None if len(calls) % 2 == 0 else msg)[1]
 
     def run_op(t, i):
         op = ops[i]

@@ -58,8 +58,10 @@ FAULTS = [
      lambda op: op["links"].append({"a": "edge", "b": "ghost", "latency_ms": 1,
                                     "bandwidth_mbps": 10}),
      [("bad-reference", "northbound.2.links.1")]),
+    # Read from the one link table, so the field's range names it (it was
+    # "bad link parameters" at northbound.2.links.0, from the slice rules).
     ("link with bandwidth 0", ICN_OP, lambda op: op["links"][0].update(bandwidth_mbps=0),
-     [("bad-value", "northbound.2.links.0")]),
+     [("bad-value", "northbound.2.links.0.bandwidth_mbps")]),
 ]
 
 
