@@ -226,7 +226,7 @@ class Orchestrator:
         self.vims = {d.name: Vim(d) for d in domains}
         self.slices: dict[int, SliceState] = {}
         self._next_slice = 0
-        self.log: list[str] = []
+        self.log: list[str] = []  # "<simulated ms> ms: <event>" per link and scale decision
         self._scale_marks: dict[str, tuple[float, float]] = {}  # node -> (t, busy)
 
     # -- slice lifecycle ----------------------------------------------------
@@ -355,7 +355,8 @@ class Orchestrator:
         icn.prefix = prefix
         self._configure_gateways(cdn_sid)
         self._install_routes(prefix, gw_node)
-        self.log.append("link: slice %d -> slice %d via gateway %s" % (cdn_sid, icn_sid, gw_node))
+        self.log.append("%.3f ms: link: slice %d -> slice %d via gateway %s"
+                        % (self.net.now, cdn_sid, icn_sid, gw_node))
         return gw_node
 
     def _configure_gateways(self, cdn_sid: int):
@@ -377,14 +378,11 @@ class Orchestrator:
         for host in self.net.hosts.values():
             if host.fwd is None or host.id == gw_node or host.origin is not None:
                 continue
-            nh = self.net.next_hop(host.id, gw_node)
-            if nh is None:
-                continue
-            face = host.face_by_peer.get(nh)
-            if face is None:
+            link = host.links.get(self.net.next_hop(host.id, gw_node))
+            if link is None:
                 continue
             cost = int(round(self.net.shortest_latency(host.id, gw_node)))
-            host.fwd.fib_insert(prefix, [(face, cost)])
+            host.fwd.fib_insert(prefix, [(link.face, cost)])
 
     # -- scaling -------------------------------------------------------------------
 
@@ -417,33 +415,32 @@ class Orchestrator:
         try:
             alloc = self.vims[spec.domain].allocate(spec.flavor)
         except QuotaExceeded:
-            self.log.append("scale denied: quota exceeded in %s for slice %d"
-                            % (spec.domain, sid))
+            self.log.append("%.3f ms: scale denied: quota exceeded in %s for slice %d"
+                            % (self.net.now, spec.domain, sid))
             return None
         inst = self._instantiate(state, spec, alloc)
         host = inst.host
         # Clone the original's adjacency, then advertise equal-cost next hops.
-        for peer, lat, mbps in self.net.links_of(base):
-            self.net.add_link(node, peer, lat, mbps)
+        for peer, link in original.host.links.items():
+            self.net.add_link(node, peer, link.latency_ms, link.mbps)
         if original.host.fwd is not None and host.fwd is not None:
+            # The clone links to every peer of the original: map each of
+            # the original's link faces to the clone's face toward that peer.
+            by_face = {link.face: host.links[peer].face
+                       for peer, link in original.host.links.items()}
             for e in original.host.fwd.fib_entries():
-                hops = []
-                for face, cost in e.next_hops:
-                    peer = original.host.faces.get(face)
-                    nf = host.face_by_peer.get(peer) if peer is not None else None
-                    if nf is not None:
-                        hops.append((nf, cost))
+                hops = [(by_face[face], cost) for face, cost in e.next_hops
+                        if face in by_face]
                 if hops:
                     host.fwd.fib_insert(e.prefix, hops)
         for other in self.net.hosts.values():
-            if other.fwd is None or other.id == node:
+            to_new = other.links.get(node)
+            if other.fwd is None or to_new is None:
                 continue
-            to_new = other.face_by_peer.get(node)
-            if to_new is None:
-                continue
+            to_base = other.links[base].face
             for e in other.fwd.fib_entries():
                 for face, cost in list(e.next_hops):
-                    if other.faces.get(face) == base:
-                        other.fwd.fib_add_next_hop(e.prefix, to_new, cost)
-        self.log.append("scale out: slice %d added %s" % (sid, node))
+                    if face == to_base:
+                        other.fwd.fib_add_next_hop(e.prefix, to_new.face, cost)
+        self.log.append("%.3f ms: scale out: slice %d added %s" % (self.net.now, sid, node))
         return inst

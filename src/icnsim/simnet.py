@@ -3,7 +3,10 @@
 Nodes, point-to-point links with latency and per-direction FIFO
 bandwidth serialization, a global virtual clock in float milliseconds,
 consumer request generators, and the host wrapper that turns the
-forwarder's ``(face, packet)`` pairs into wire traffic. Everything is
+forwarder's ``(face, packet)`` pairs into wire traffic. Each direction
+of a link is one ``_LinkDir``, held only by the host that sends on it:
+in its ``links`` under the peer and in its ``faces`` under the face.
+IP routing reads the hosts' links. Everything is
 single-threaded and fully deterministic: events execute in (time, seq)
 order with seq assigned at scheduling. The heap holds ``(time, seq,
 Event)`` tuples: seq is unique, so heap order is a tuple comparison in C
@@ -40,20 +43,23 @@ class Event:
 
 
 class _LinkDir:
-    """One direction of a link and the messages in flight on it.
+    """One direction of a link: the one record of it, held by the sending
+    host in ``links`` under ``dst`` and in ``faces`` under ``face``.
 
-    ``free_at`` never falls and the latency is fixed, so messages arrive
-    in the order they were sent: each delivery event takes the head of
-    ``in_flight``. ``deliver``, bound once, is the receiving host's
-    ``receive`` with this link as its first argument, and serves them all.
-    ``counters`` are the sending host's.
+    ``rx_face`` is the receiving host's face for the link. ``free_at``
+    never falls and the latency is fixed, so messages arrive in the order
+    they were sent: each delivery event takes the head of ``in_flight``.
+    ``deliver``, bound once, is the receiving host's ``receive`` with this
+    link as its first argument, and serves them all. ``src`` names the
+    sender, and ``counters`` are its counters.
     """
 
-    __slots__ = ("src", "latency_ms", "mbps", "kbps", "free_at", "in_flight",
-                 "counters", "deliver")
+    __slots__ = ("src", "dst", "face", "rx_face", "latency_ms", "mbps", "kbps", "free_at",
+                 "in_flight", "counters", "deliver")
 
     def __init__(self, src: "Host", dst: "Host", latency_ms: float, mbps: float):
         self.src = src.id
+        self.dst = dst.id
         self.latency_ms = latency_ms
         self.mbps = mbps
         self.kbps = mbps * 1000.0
@@ -89,15 +95,13 @@ class IpResponse:
 
 
 class Network:
-    """The event queue plus topology: hosts, links and IP routing."""
+    """The event queue, the hosts and IP routing over their links."""
 
     def __init__(self, horizon_ms: float | None = None):
         self.now = 0.0
         self.horizon_ms = horizon_ms
         self.hosts: dict[str, "Host"] = {}
         self.all_hosts: dict[str, "Host"] = {}  # never pruned; keeps counters
-        self._links: dict[tuple[str, str], _LinkDir] = {}
-        self._adj: dict[str, list[tuple[str, float]]] = {}
         self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = itertools.count().__next__
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
@@ -152,7 +156,6 @@ class Network:
             raise ValueError("duplicate node id %r" % host.id)
         self.hosts[host.id] = host
         self.all_hosts[host.id] = host
-        self._adj.setdefault(host.id, [])
         self._route_cache.clear()
 
     def remove_host(self, node: str):
@@ -160,48 +163,38 @@ class Network:
         if host is None:
             return
         host.removed = True
-        for peer, _lat in list(self._adj.get(node, [])):
-            self._drop_link_pair(node, peer)
-        self._adj.pop(node, None)
+        for peer in list(host.links):
+            self._unlink(host, self.hosts[peer])
         self._route_cache.clear()
 
     def add_link(self, a: str, b: str, latency_ms: float, bandwidth_mbps: float):
-        if a not in self.hosts or b not in self.hosts:
+        ha, hb = self.hosts.get(a), self.hosts.get(b)
+        if ha is None or hb is None:
             raise ValueError("link endpoint missing: %r-%r" % (a, b))
-        if (a, b) in self._links:
+        if b in ha.links:
             raise ValueError("duplicate link %r-%r" % (a, b))
         if bandwidth_mbps <= 0:
             raise ValueError("bandwidth must be > 0")
         if latency_ms < 0:
             raise ValueError("latency must be >= 0")
-        ha, hb = self.hosts[a], self.hosts[b]
-        self._links[(a, b)] = _LinkDir(ha, hb, latency_ms, bandwidth_mbps)
-        self._links[(b, a)] = _LinkDir(hb, ha, latency_ms, bandwidth_mbps)
-        self._adj[a].append((b, latency_ms))
-        self._adj[b].append((a, latency_ms))
-        self.hosts[a].attach_link_face(b)
-        self.hosts[b].attach_link_face(a)
+        ab = ha.links[b] = _LinkDir(ha, hb, latency_ms, bandwidth_mbps)
+        ba = hb.links[a] = _LinkDir(hb, ha, latency_ms, bandwidth_mbps)
+        ab.face = ba.rx_face = ha._add_face(ab)
+        ba.face = ab.rx_face = hb._add_face(ba)
         self._route_cache.clear()
 
-    def _drop_link_pair(self, a: str, b: str):
-        self._links.pop((a, b), None)
-        self._links.pop((b, a), None)
-        if a in self._adj:
-            self._adj[a] = [(p, l) for p, l in self._adj[a] if p != b]
-        if b in self._adj:
-            self._adj[b] = [(p, l) for p, l in self._adj[b] if p != a]
+    @staticmethod
+    def _unlink(ha: "Host", hb: "Host"):
+        """Drop both directions of the link between two hosts; their faces
+        stay, leading nowhere."""
+        for x, y in ((ha, hb), (hb, ha)):
+            link = x.links.pop(y.id, None)
+            if link is not None:
+                x.faces[link.face] = None
 
     def remove_link(self, a: str, b: str):
-        self._drop_link_pair(a, b)
+        self._unlink(self.hosts[a], self.hosts[b])
         self._route_cache.clear()
-
-    def has_link(self, a: str, b: str) -> bool:
-        return (a, b) in self._links
-
-    def links_of(self, node: str) -> list[tuple[str, float, float]]:
-        """The links at ``node`` as (peer, latency_ms, mbps), in the order added."""
-        return [(peer, lat, self._links[(node, peer)].mbps)
-                for peer, lat in self._adj.get(node, [])]
 
     # -- IP routing (shortest path by latency) ------------------------------
 
@@ -221,8 +214,8 @@ class Network:
             done.add(node)
             if via:
                 first[node] = via
-            for peer, lat in self._adj.get(node, []):
-                nd = d + lat
+            for peer, link in self.all_hosts[node].links.items():
+                nd = d + link.latency_ms
                 if peer not in dist or nd < dist[peer]:
                     dist[peer] = nd
                     counter += 1
@@ -243,12 +236,7 @@ class Network:
 
     # -- transmission --------------------------------------------------------
 
-    def send(self, src: str, dst: str, nbytes: int, msg) -> bool:
-        try:
-            link = self._links[src, dst]
-        except KeyError:
-            self.hosts[src].counters.drop(DROP_NO_ROUTE)
-            return False
+    def send(self, link: _LinkDir, nbytes: int, msg):
         start = self.now
         if start < link.free_at:
             start = link.free_at
@@ -257,18 +245,21 @@ class Network:
         link.counters.tx_bytes += nbytes
         link.in_flight.append((msg, nbytes))
         self.schedule(start + link.latency_ms, link.deliver)
-        return True
 
 
 class Host:
-    """One simulated machine: faces, counters, meters and its services.
+    """One simulated machine: faces, links, counters, meters and its services.
 
     A host may run an NDN forwarder (possibly a gateway), host a CDN
     origin service, forward plain IP messages hop by hop, or any mix.
+    ``links`` maps each peer to the outgoing ``_LinkDir``, in the order
+    added. ``faces`` maps each face to what it sends on: its outgoing
+    ``_LinkDir``, its application's callback, or ``None`` once its link
+    is removed.
     """
 
     __slots__ = ("net", "id", "role", "fwd", "origin", "packet_ms", "cpu_ms",
-                 "counters", "faces", "face_by_peer", "apps", "_next_face",
+                 "counters", "links", "faces", "_next_face",
                  "origin_timeout_ms", "_next_rid", "_ip_waiters", "_ip_intact",
                  "removed")
 
@@ -284,9 +275,8 @@ class Host:
         self.packet_ms = per_packet_cost_ms / max(1, vcpus)
         self.cpu_ms = 0.0
         self.counters = fwd.counters if fwd is not None else Counters()
-        self.faces: dict[int, str] = {}
-        self.face_by_peer: dict[str, int] = {}
-        self.apps: dict[int, Callable] = {}
+        self.links: dict[str, _LinkDir] = {}
+        self.faces: dict[int, _LinkDir | Callable | None] = {}
         self._next_face = 0
         self.origin_timeout_ms = origin_timeout_ms
         self._next_rid = 0
@@ -296,25 +286,16 @@ class Host:
 
     # -- faces ---------------------------------------------------------------
 
-    def _alloc_face(self) -> int:
-        f = self._next_face
+    def _add_face(self, out: _LinkDir | Callable) -> int:
+        face = self._next_face
         self._next_face += 1
-        return f
-
-    def attach_link_face(self, peer: str) -> int:
-        face = self._alloc_face()
-        self.faces[face] = peer
-        self.face_by_peer[peer] = face
+        self.faces[face] = out
         if self.fwd is not None:
             self.fwd.register_face(face)
         return face
 
     def attach_app(self, callback: Callable) -> int:
-        face = self._alloc_face()
-        self.apps[face] = callback
-        if self.fwd is not None:
-            self.fwd.register_face(face)
-        return face
+        return self._add_face(callback)
 
     def next_request_id(self) -> int:
         rid = self._next_rid
@@ -362,47 +343,48 @@ class Host:
             return
         self.counters.rx_pkts += 1
         self.counters.rx_bytes += nbytes
-        # ``face_by_peer`` holds ``link.src``: adding the link gave it a face.
         kind = type(msg)
         if kind is Interest and self.fwd is not None:
-            self._emit(now, self.fwd.on_interest(now, self.face_by_peer[link.src], msg),
-                       self.id)
+            self._emit(now, self.fwd.on_interest(now, link.rx_face, msg), self.id)
         elif kind is WireData and self.fwd is not None:
-            self._emit(now, self.fwd.on_data(now, self.face_by_peer[link.src], msg.data),
-                       msg.served_by)
+            self._emit(now, self.fwd.on_data(now, link.rx_face, msg.data), msg.served_by)
         elif kind is Interest or kind is WireData:
             self.counters.drop(DROP_NO_ROUTE)  # an NDN packet at a host with no forwarder
         else:
             self._handle_ip(now, msg, nbytes)
 
     def _emit(self, now: float, actions, served_by: str):
-        """Send each ``(face, packet)`` pair, or hand a Data to the app on
-        its face; a PendingFetch starts an origin fetch."""
+        """Send each ``(face, packet)`` pair on its face's link, or hand a
+        Data to the app on its face; a PendingFetch starts an origin fetch.
+        A face whose link is removed drops the packet as no-route."""
+        faces = self.faces
         for face, p in actions:
             t = type(p)
-            if t is Data:
-                if face in self.apps:
-                    self.apps[face](now, p, served_by)
-                else:
+            if t is PendingFetch:
+                self._start_fetch(now, p)
+                continue
+            out = faces[face]
+            if type(out) is _LinkDir:
+                if t is Data:
                     wire = object.__new__(WireData)
                     wire.data = p
                     wire.served_by = served_by
-                    self.net.send(self.id, self.faces[face], p.wire_len, wire)
-            elif t is Interest:
-                if face in self.faces:
-                    self.net.send(self.id, self.faces[face],
-                                  p.name._wire_len + INTEREST_FIELDS_LEN, p)
-            else:
-                self._start_fetch(now, p)
+                    self.net.send(out, p.wire_len, wire)
+                else:
+                    self.net.send(out, p.name._wire_len + INTEREST_FIELDS_LEN, p)
+            elif out is None:
+                self.counters.drop(DROP_NO_ROUTE)
+            elif t is Data:
+                out(now, p, served_by)
 
     # -- IP side ---------------------------------------------------------------
 
-    def send_ip(self, msg, nbytes: int) -> bool:
-        nh = self.net.next_hop(self.id, msg.dst)
-        if nh is None:
+    def send_ip(self, msg, nbytes: int):
+        link = self.links.get(self.net.next_hop(self.id, msg.dst))
+        if link is None:
             self.counters.drop(DROP_NO_ROUTE)
-            return False
-        return self.net.send(self.id, nh, nbytes, msg)
+        else:
+            self.net.send(link, nbytes, msg)
 
     def _handle_ip(self, now: float, msg, nbytes: int):
         """Forward, serve, or answer a waiter: a response that arrives

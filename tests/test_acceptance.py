@@ -136,7 +136,7 @@ def test_criterion_6_analytic_oracle_equivalence():
         for d in chunk_content(content, payload, 8192, 10_000_000):
             hosts["cache"].fwd.cs.insert(0.0, d)
         for i in range(len(lats)):
-            nxt_face = hosts[ids[i]].face_by_peer[ids[i + 1]]
+            nxt_face = hosts[ids[i]].links[ids[i + 1]].face
             hosts[ids[i]].fwd.fib_insert(Name.parse("/x"), [(nxt_face, 1)])
         records = []
         pop = Population(net, hosts[ids[0]], "T", content, "hd", 1, 1,

@@ -169,6 +169,21 @@ def test_run_runtime_failure_exits_3_and_removes_partial_outputs(tmp_path, capsy
     assert not list(out.glob("*.csv")) if out.exists() else True
 
 
+def test_run_population_outliving_its_slice_fails_its_requests(tmp_path, capsys):
+    # Slice i1 holds the population's node and expires at 1 ms, before the
+    # first answer. Every later retransmission leaves the removed node on a
+    # face whose link is gone, and is dropped there as no-route.
+    sets = ["--set", "populations.0.attach_node=edge", "--set", "northbound.2.duration_ms=1"]
+    assert main(["validate", str(MINI)] + sets) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(MINI), "--out", str(out)] + sets) == 0
+    rows = (out / "requests.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(r.endswith(",failed") for r in rows)
+    edge = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("node=edge ")]
+    assert len(edge) == 1 and edge[0].endswith(" drops=no-route=8")
+
+
 def test_run_cdn_only_mode_schema_identical(tmp_path):
     a, b = tmp_path / "icn", tmp_path / "cdn"
     assert main(["run", str(MINI), "--out", str(a)]) == 0

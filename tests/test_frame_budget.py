@@ -44,8 +44,11 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # ticks asked one ``live`` predicate (+1 per tick that asks it: 2 in each
 # mode); 401 in icn before the gateway appended its publish record to the
 # network's list rather than calling a per-host hook (-1 per publish: 1 in
-# icn).
-FRAMES = {"icn": 400, "cdn-only": 417}
+# icn); 400 and 417 before each host held its own links, so that removing
+# a link pops it from both endpoints rather than filtering two adjacency
+# lists in list comprehensions (-2 per link removed: 3 at slice expiry in
+# each mode).
+FRAMES = {"icn": 394, "cdn-only": 411}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))

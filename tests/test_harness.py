@@ -296,8 +296,9 @@ def table_sizes(run) -> dict[tuple[str, str], int]:
     for node, host in run.hosts.items():
         sizes[node, "forwarder"] = element_count(host.fwd)
         sizes[node, "_ip_waiters"] = element_count(host._ip_waiters)
-        for face, app in host.apps.items():
-            sizes[node, "outstanding@%d" % face] = element_count(app.__self__.outstanding)
+        for face, app in host.faces.items():
+            if callable(app):  # an application's face, not a link's
+                sizes[node, "outstanding@%d" % face] = element_count(app.__self__.outstanding)
     return sizes
 
 

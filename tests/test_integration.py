@@ -149,7 +149,7 @@ def test_busy_ms_derived_from_packets_and_charged_work():
     net.add_host(b)
     net.add_link("a", "b", 1.0, 100.0)
     for i in range(3):
-        net.send("a", "b", IP_REQUEST_BYTES, IpRequest("a", "b", i, "c", "r"))
+        net.send(a.links["b"], IP_REQUEST_BYTES, IpRequest("a", "b", i, "c", "r"))
     net.run_to_completion()
     a.charge_ms(12.5)
     assert a.busy_ms_total == pytest.approx(3 * 0.01 + 12.5)

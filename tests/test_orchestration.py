@@ -83,7 +83,7 @@ def test_table1_slice_fits_default_quotas():
     sid = orch.create_slice(table1_icn_spec())
     assert sid == 0
     assert set(net.hosts) == {"ndn-jp", "ndn-eu", "ndn-us", "ndn-gw"}
-    assert net.has_link("ndn-gw", "ndn-jp")
+    assert "ndn-jp" in net.hosts["ndn-gw"].links
     assert all(type(net.hosts[n].fwd) is Forwarder for n in net.hosts)
 
 
@@ -166,10 +166,12 @@ def test_expiry_drops_traffic_toward_removed_nodes(rng):
     edge = Host(net, "edge", fwd=Forwarder(0))
     net.add_host(edge)
     net.add_link("edge", "ndn-jp", 1.0, 100.0)
+    face = edge.links["ndn-jp"].face
     orch.destroy_slice(sid)
-    ok = net.send("edge", "ndn-jp", 100, Interest(Name.parse("/x"), 1))
-    assert not ok
+    assert "ndn-jp" not in edge.links
+    edge._emit(net.now, [(face, Interest(Name.parse("/x"), 1))], "edge")
     assert edge.counters.drops["no-route"] == 1
+    assert edge.counters.tx_pkts == 0
 
 
 # -- linking ----------------------------------------------------------------------
@@ -221,7 +223,7 @@ def test_link_installs_routes_on_every_ndn_node():
         e = host.fwd.fib_longest_prefix_match(Name.parse("/cdn/v42/1080p/seg=0"))
         assert e is not None and e.prefix == prefix
         face, cost = e.next_hops[0]
-        assert host.faces[face] == "ndn-gw"
+        assert host.faces[face].dst == "ndn-gw"
     # Graph closure: following FIB next hops reaches the gateway.
     for node in ("ndn-jp", "ndn-eu", "ndn-us"):
         cur = node
@@ -230,7 +232,7 @@ def test_link_installs_routes_on_every_ndn_node():
             e = host.fwd.fib_longest_prefix_match(Name.parse("/cdn/v42/1080p/seg=0"))
             if e is None:
                 break
-            cur = host.faces[e.next_hops[0][0]]
+            cur = host.faces[e.next_hops[0][0]].dst
             if cur == gw:
                 break
         assert cur == gw
@@ -310,7 +312,7 @@ def test_scale_out_adds_instance_and_equal_cost_hop():
     inst = orch.handle_scale(icn, target)
     assert inst is not None and inst.host.id == "ndn-eu-s1"
     assert "ndn-eu-s1" in net.hosts
-    assert net.has_link("ndn-eu-s1", "ndn-gw")
+    assert "ndn-gw" in net.hosts["ndn-eu-s1"].links
     # The clone inherited the content route.
     e = net.hosts["ndn-eu-s1"].fwd.fib_longest_prefix_match(Name.parse("/cdn/x/seg=0"))
     assert e is not None
@@ -400,3 +402,18 @@ def test_quota_conservation_random_ops():
     assert quota_snapshot(orch) == initial
     for vim in orch.vims.values():
         assert not vim.live
+
+
+def test_log_entries_start_with_their_simulated_time():
+    net, orch, cdn, icn, gw = linked_world()
+    net.schedule(2500.0, lambda t: None)
+    net.run_to_completion()
+    target = next(i for i in orch.slices[icn].instances if i.host.id == "ndn-eu")
+    orch.handle_scale(icn, target)
+    orch.vims["openstack-eu"].remaining = [0, 0, 0]
+    orch.handle_scale(icn, target)
+    assert orch.log == [
+        "0.000 ms: link: slice 0 -> slice 1 via gateway ndn-gw",
+        "2500.000 ms: scale out: slice 1 added ndn-eu-s1",
+        "2500.000 ms: scale denied: quota exceeded in openstack-eu for slice 1",
+    ]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from icnsim.ndn import Interest, Name
+from icnsim.ndn import Interest, Name, make_data
 from icnsim.simnet import HorizonExceeded, Host, IpRequest, Network
 
 from conftest import build_chain, filter_deliveries
@@ -30,7 +30,7 @@ def test_send_delivery_formula(monkeypatch):
     seen = []
     filter_deliveries(monkeypatch, lambda now, src, dst, msg: (seen.append(now), msg)[1])
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 50.0, 100.0)])
-    net.send("a", "b", 8192, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["a"].links["b"], 8192, IpRequest("a", "b", 0, "c", "r"))
     net.run_to_completion()
     assert seen == [pytest.approx(50.65536, abs=1e-12)]
 
@@ -39,8 +39,8 @@ def test_fifo_serialization_quantum(monkeypatch):
     seen = []
     filter_deliveries(monkeypatch, lambda now, src, dst, msg: (seen.append(now), msg)[1])
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 50.0, 100.0)])
-    net.send("a", "b", 8192, IpRequest("a", "b", 0, "c", "r"))
-    net.send("a", "b", 8192, IpRequest("a", "b", 1, "c", "r"))
+    net.send(hosts["a"].links["b"], 8192, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["a"].links["b"], 8192, IpRequest("a", "b", 1, "c", "r"))
     net.run_to_completion()
     # Queueing by hand: the second transmission starts when the first ends.
     assert seen[0] == pytest.approx(50.65536)
@@ -53,23 +53,23 @@ def test_directions_do_not_share_serialization(monkeypatch):
     filter_deliveries(monkeypatch,
                       lambda now, src, dst, msg: (seen.append((dst, now)), msg)[1])
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
-    net.send("a", "b", 8192, IpRequest("a", "b", 0, "c", "r"))
-    net.send("b", "a", 8192, IpRequest("b", "a", 1, "c", "r"))
+    net.send(hosts["a"].links["b"], 8192, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["b"].links["a"], 8192, IpRequest("b", "a", 1, "c", "r"))
     net.run_to_completion()
     assert seen[0][1] == seen[1][1] == pytest.approx(10.65536)
 
 
 def test_missing_link_counts_drop_and_schedules_nothing():
     net, hosts = build_chain([("a", 0), ("b", 0)], [])
-    ok = net.send("a", "b", 100, IpRequest("a", "b", 0, "c", "r"))
-    assert not ok
+    hosts["a"].send_ip(IpRequest("a", "b", 0, "c", "r"), 100)
     assert hosts["a"].counters.drops["no-route"] == 1
+    assert hosts["a"].counters.tx_pkts == 0
     assert net.run_to_completion() == 0.0
 
 
 def test_tx_rx_counters():
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 1.0, 100.0)])
-    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["a"].links["b"], 500, IpRequest("a", "b", 0, "c", "r"))
     net.run_to_completion()
     assert hosts["a"].counters.tx_pkts == 1
     assert hosts["a"].counters.tx_bytes == 500
@@ -79,7 +79,7 @@ def test_tx_rx_counters():
 
 def test_message_to_a_removed_host_is_not_received():
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
-    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["a"].links["b"], 500, IpRequest("a", "b", 0, "c", "r"))
     net.schedule(1.0, lambda t: net.remove_host("b"))
     net.run_to_completion()
     assert hosts["a"].counters.tx_pkts == 1
@@ -92,10 +92,10 @@ def test_message_on_a_removed_link_between_live_hosts_is_delivered(monkeypatch):
     filter_deliveries(monkeypatch,
                       lambda now, src, dst, msg: (seen.append((src, dst)), msg)[1])
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 10.0, 100.0)])
-    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["a"].links["b"], 500, IpRequest("a", "b", 0, "c", "r"))
     net.schedule(1.0, lambda t: net.remove_link("a", "b"))
     net.run_to_completion()
-    assert not net.has_link("a", "b")
+    assert "b" not in hosts["a"].links and "a" not in hosts["b"].links
     assert seen == [("a", "b")]
     assert hosts["b"].counters.rx_pkts == 1
     assert hosts["b"].counters.rx_bytes == 500
@@ -104,7 +104,7 @@ def test_message_on_a_removed_link_between_live_hosts_is_delivered(monkeypatch):
 def test_delivery_dropped_by_the_filter_counts_no_rx(monkeypatch):
     filter_deliveries(monkeypatch, lambda now, src, dst, msg: None)
     net, hosts = build_chain([("a", 0), ("b", 0)], [("a", "b", 1.0, 100.0)])
-    net.send("a", "b", 500, IpRequest("a", "b", 0, "c", "r"))
+    net.send(hosts["a"].links["b"], 500, IpRequest("a", "b", 0, "c", "r"))
     net.run_to_completion()
     assert hosts["a"].counters.tx_pkts == 1
     assert hosts["b"].counters.rx_pkts == 0
@@ -163,7 +163,7 @@ def test_wire_interest_without_forwarder_drops():
     net.add_host(a)
     net.add_host(b)
     net.add_link("a", "b", 1.0, 100.0)
-    net.send("a", "b", 60, Interest(Name.parse("/x"), 1))
+    net.send(a.links["b"], 60, Interest(Name.parse("/x"), 1))
     net.run_to_completion()
     assert b.counters.drops["no-route"] == 1
 
@@ -205,12 +205,13 @@ def _run_ops(links, ops):
         op = ops[i]
         if op[0] == "send":
             _, src, dst, nbytes, _t = op
-            if src in net.hosts:
-                net.send(src, dst, nbytes, i)
+            link = net.hosts[src].links.get(dst) if src in net.hosts else None
+            if link is not None:
+                net.send(link, nbytes, i)
         elif op[0] == "toggle":
             (a, b), (lat, mbps) = PAIRS[op[1]], links[op[1]]
             if a in net.hosts and b in net.hosts:
-                if net.has_link(a, b):
+                if b in net.hosts[a].links:
                     net.remove_link(a, b)
                 else:
                     net.add_link(a, b, lat, mbps)
@@ -305,3 +306,143 @@ _SLOW = [(2.0, 0.008)] * len(PAIRS)  # 1000 bytes take 1000 ms
                  ("send", "b", "c", 100, 1.0)], True)
 def test_link_delivery_matches_sorted_formula(links, ops, drop_every_other):
     assert _run_network(links, ops, drop_every_other) == _model(links, ops, drop_every_other)
+
+
+# -- link tables against a brute-force model ------------------------------------
+
+HOSTS = ("a", "b", "c", "d", "e")
+_DEAD = (Interest(Name.parse("/x"), 1), make_data(Name.parse("/x"), b"p", 0, 0))
+
+
+def _brute_routes(adj: dict, src: str) -> dict:
+    """dst -> (latency, first hops) over every simple path from ``src``:
+    the shortest latency and the first hop of each path that has it."""
+    best = {}
+
+    def walk(node, dist, first, seen):
+        for peer, lat in adj[node].items():
+            if peer in seen:
+                continue
+            d, f = dist + lat, first or peer
+            if peer not in best or d < best[peer][0]:
+                best[peer] = (d, {f})
+            elif d == best[peer][0]:
+                best[peer][1].add(f)
+            walk(peer, d, f, seen | {peer})
+
+    walk(src, 0.0, None, {src})
+    return best
+
+
+class _TopologyModel:
+    """Per host: the faces in the order allocated (the peer, or None once
+    the link is removed) and the live links as peer -> face, in the order
+    added; per live link, its latency."""
+
+    def __init__(self):
+        self.alive = set(HOSTS)
+        self.faces = {n: [] for n in HOSTS}
+        self.links = {n: {} for n in HOSTS}
+        self.lat = {}
+
+    def add_link(self, a, b, lat) -> bool:
+        if a not in self.alive or b not in self.alive or b in self.links[a]:
+            return False
+        for x, y in ((a, b), (b, a)):
+            self.links[x][y] = len(self.faces[x])
+            self.faces[x].append(y)
+            self.lat[x, y] = lat
+        return True
+
+    def remove_link(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            face = self.links[x].pop(y, None)
+            if face is not None:
+                self.faces[x][face] = None
+                del self.lat[x, y]
+
+    def remove_host(self, n):
+        for peer in list(self.links[n]):
+            self.remove_link(n, peer)
+        self.alive.discard(n)
+
+
+def _check_tables(net, model):
+    for n in HOSTS:
+        host = net.all_hosts[n]
+        assert {p: link.face for p, link in host.links.items()} == model.links[n]
+        assert list(host.links) == list(model.links[n])
+        for peer, link in host.links.items():
+            assert (link.src, link.dst, link.latency_ms) == (n, peer, model.lat[n, peer])
+            assert link.rx_face == model.links[peer][n]
+            assert host.faces[link.face] is link
+        assert {f: out and out.dst for f, out in host.faces.items()} == dict(
+            enumerate(model.faces[n]))
+
+
+def _check_dead_faces_drop(net, model):
+    """Each removed link's face drops one packet as no-route at its host
+    and sends nothing."""
+    for n in HOSTS:
+        host = net.all_hosts[n]
+        for face, peer in enumerate(model.faces[n]):
+            if peer is not None:
+                continue
+            c = host.counters
+            before = (c.drops.get("no-route", 0), c.tx_pkts)
+            host._emit(net.now, [(face, _DEAD[face % 2])], n)
+            assert (c.drops["no-route"], c.tx_pkts) == (before[0] + 1, before[1])
+    assert not net.active()
+
+
+def _check_routes(net, model):
+    adj = {n: {} for n in HOSTS}
+    for (a, b), lat in model.lat.items():
+        adj[a][b] = lat
+    for src in HOSTS:
+        best = _brute_routes(adj, src)
+        for dst in HOSTS:
+            if dst == src:
+                continue
+            lat, firsts = best.get(dst, (float("inf"), {None}))
+            assert net.shortest_latency(src, dst) == lat
+            assert net.next_hop(src, dst) in firsts
+
+
+_topology_ops = st.lists(st.tuples(
+    st.sampled_from(("add", "add", "add", "remove_link", "remove_host")),
+    st.sampled_from(HOSTS), st.sampled_from(HOSTS),
+    st.sampled_from((0.0, 1.0, 2.0, 5.0)),
+).filter(lambda op: op[1] != op[2]), max_size=30)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_topology_ops)
+# Removed and added again: the new link gets new faces, the old ones stay dead.
+@example([("add", "a", "b", 1.0), ("remove_link", "a", "b", 0.0),
+          ("add", "b", "a", 2.0)])
+# Two equal-latency routes, then the one taken breaks.
+@example([("add", "a", "b", 1.0), ("add", "b", "d", 1.0), ("add", "a", "c", 1.0),
+          ("add", "c", "d", 1.0), ("remove_host", "b", "a", 0.0)])
+def test_link_tables_and_routes_match_the_model(ops):
+    net = Network()
+    for n in HOSTS:
+        net.add_host(Host(net, n))
+    model = _TopologyModel()
+    for kind, a, b, lat in ops:
+        if kind == "add":
+            if model.add_link(a, b, lat):
+                net.add_link(a, b, lat, 100.0)
+            else:
+                with pytest.raises(ValueError):
+                    net.add_link(a, b, lat, 100.0)
+        elif kind == "remove_link":
+            if a in model.alive and b in model.alive:
+                model.remove_link(a, b)
+                net.remove_link(a, b)
+        else:
+            model.remove_host(a)
+            net.remove_host(a)
+        _check_tables(net, model)
+        _check_dead_faces_drop(net, model)
+        _check_routes(net, model)

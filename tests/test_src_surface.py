@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "icnsim"
 ALLOWED = {
     "Network.remove_link": "a fixture of the FIFO property model in test_simnet.py: "
                            "traffic in flight on a removed link",
-    "Network.has_link": "a fixture of the FIFO property model in test_simnet.py",
 }
 
 
