@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .forwarder import DROP_NO_ROUTE, Action, Forwarder, PitEntry
 from .ndn import DEFAULT_CHUNK_SIZE, Data, Interest, Name, chunk_content
-from .origin import UnknownContent
 
 
 class EmptyCandidates(ValueError):
@@ -29,14 +28,6 @@ class PendingFetch:
     content_id: str
     resolution: str
     base: Name
-
-
-@dataclass(slots=True)
-class OriginRef:
-    """Where the gateway's content comes from on the IP side."""
-
-    node: str
-    prefix_map: dict[Name, tuple[str, str]]  # base name -> (content_id, resolution)
 
 
 def select_gateway(candidates: list[tuple[str, float, float]], w: float) -> str:
@@ -70,8 +61,8 @@ class Gateway(Forwarder):
         # Base names with a fetch under way. Membership tests only: a set
         # of names iterates in address order.
         self.pending: set[Name] = set()
-        self.origin_ref: OriginRef | None = None
-        self._base_for: dict[tuple[str, str], Name] = {}
+        self.origin_node: str | None = None  # where content comes from on the IP side
+        self.prefix_map: dict[Name, tuple[str, str]] = {}  # base name -> (content_id, res)
 
     @classmethod
     def take_over(cls, fwd: Forwarder, chunk_size: int,
@@ -82,17 +73,15 @@ class Gateway(Forwarder):
         vars(gw).update(vars(fwd))
         return gw
 
-    def configure_origin(self, origin_ref: OriginRef):
-        self.origin_ref = origin_ref
-        self._base_for = {cr: base for base, cr in origin_ref.prefix_map.items()}
+    def configure_origin(self, node: str, prefix_map: dict[Name, tuple[str, str]]):
+        self.origin_node = node
+        self.prefix_map = prefix_map
 
     def _served_lookup(self, name: Name) -> tuple[Name, str, str] | None:
-        if self.origin_ref is None:
-            return None
         if name.seg_number() is None:
             return None
         base = name.parent()
-        m = self.origin_ref.prefix_map.get(base)
+        m = self.prefix_map.get(base)
         if m is None:
             return None
         return base, m[0], m[1]
@@ -126,17 +115,15 @@ class Gateway(Forwarder):
         self.pending.add(base)
         return [(face, PendingFetch(content_id, resolution, base))]
 
-    def publish_content_to_icn(self, now: float, content_id: str, resolution: str,
+    def publish_content_to_icn(self, now: float, base: Name,
                                payload: bytes) -> tuple[int, list[Action]]:
-        """Chunk a fetched content object into the repo and answer waiters.
+        """Chunk a content object fetched for ``base`` into the repo and
+        answer waiters.
 
         Idempotent: re-publishing an already published content changes
         nothing and returns the original segment count. Returns the
         count plus the actions that satisfy pending interests.
         """
-        base = self._base_for.get((content_id, resolution))
-        if base is None:
-            raise UnknownContent((content_id, resolution))
         if base in self.published:
             return self.published[base], []
         segments = chunk_content(base, payload, self.chunk_size, self.publish_freshness_ms)

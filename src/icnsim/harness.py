@@ -10,6 +10,7 @@ first origin fetch to publish completion.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import metrics
 from .metrics import Sample
 from .ndn import Name
 from .orchestration import Orchestrator
-from .origin import ResolutionProfile, synthesize_payload
+from .origin import synthesize_payload
 from .scenario import (Diagnostic, PopulationDef, Scenario, ScenarioError,
                        load_scenario)
 from .forwarder import Forwarder
@@ -146,8 +147,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
         elif kind == "transcode":
             cd = contents[op["content_id"]]
             scale = next(s for t, s in cd.resolutions if t == op["tag"])
-            orch.transcode(slices[op["slice"]], cd.content_id,
-                           ResolutionProfile(op["tag"], scale))
+            orch.transcode(slices[op["slice"]], cd.content_id, op["tag"], scale)
         elif kind == "link":
             if scenario.mode == "cdn-only":
                 continue
@@ -290,9 +290,9 @@ def publish_bench(path: str | Path, sizes_mb: list[float],
     scenario, diags = load_scenario(path, sets)
     if scenario is None:
         raise ScenarioError(diags)
+    if not all(1 <= s * MIB < math.inf for s in sizes_mb):  # NaN fails every comparison
+        raise ScenarioError([Diagnostic("bad-value", "sizes", "sizes must be finite, >= 1 byte")])
     sizes = [int(s * MIB) for s in sizes_mb]
-    if any(s <= 0 for s in sizes):
-        raise ScenarioError([Diagnostic("bad-value", "sizes", "sizes must be > 0")])
     if jobs > 1:
         # Imported here: the pool's modules add about 2.8 MiB to every run.
         from concurrent.futures import ProcessPoolExecutor

@@ -63,10 +63,11 @@ def write_node_counters_csv(path: Path, hosts: dict[str, Host]):
 
 
 def write_timeseries_csv(path: Path, samples: list[Sample]):
+    """Rows in the order sampled, which is ``(t_bucket_ms, node)`` order."""
     with open(path, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(TIMESERIES_HEADER)
-        for s in sorted(samples, key=lambda s: (s.t_bucket_ms, s.node)):
+        for s in samples:
             w.writerow([_fmt(s.t_bucket_ms), s.node, _fmt(s.cpu_util), s.mem_bytes,
                         s.link_in_bytes, s.link_out_bytes])
 

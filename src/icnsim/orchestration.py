@@ -10,11 +10,12 @@ slice rule, shared with the static scenario validator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .forwarder import Forwarder
-from .gateway import EmptyCandidates, Gateway, OriginRef, select_gateway
+from .gateway import EmptyCandidates, Gateway, select_gateway
 from .ndn import U32_MAX, Name
-from .origin import CdnOrigin, ResolutionProfile
+from .origin import CdnOrigin
 from .simnet import Host, Network
 
 ICN_ROLES = ("ndn-node", "ndn-gateway")
@@ -293,11 +294,11 @@ class Orchestrator:
         self._configure_gateways(sid)
         return obj
 
-    def transcode(self, sid: int, content_id: str, target: ResolutionProfile):
+    def transcode(self, sid: int, content_id: str, tag: str, scale: Fraction):
         state = self._cdn(sid)
         host = self._transcode_host(state)
         state.origin.on_cpu = host.charge_ms if host is not None else None
-        obj = state.origin.transcode(content_id, target)
+        obj = state.origin.transcode(content_id, tag, scale)
         self._configure_gateways(sid)
         return obj
 
@@ -371,7 +372,7 @@ class Orchestrator:
             for content_id, resolution in cdn.origin.catalog():
                 base = Name(icn.prefix.components + (content_id.encode(), resolution.encode()))
                 prefix_map[base] = (content_id, resolution)
-            self.net.hosts[icn.gateway_node].fwd.configure_origin(OriginRef(serve, prefix_map))
+            self.net.hosts[icn.gateway_node].fwd.configure_origin(serve, prefix_map)
 
     def _install_routes(self, prefix: Name, gw_node: str):
         """Route the content prefix toward the gateway on every NDN node."""

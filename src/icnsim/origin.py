@@ -31,25 +31,6 @@ class UnknownContent(LookupError):
     pass
 
 
-def _as_fraction(scale) -> Fraction:
-    if isinstance(scale, float):
-        return Fraction(str(scale))
-    return Fraction(scale)
-
-
-@dataclass(slots=True)
-class ResolutionProfile:
-    """A target variant: its tag and the payload size scale in (0, 1]."""
-
-    tag: str
-    scale: Fraction
-
-    def __post_init__(self):
-        self.scale = _as_fraction(self.scale)
-        if not 0 < self.scale <= 1:
-            raise ValueError("scale must be in (0, 1]")
-
-
 @dataclass(slots=True, frozen=True)
 class ContentObject:
     """A stored content or variant. An upload gives its payload; a
@@ -108,16 +89,17 @@ class CdnOrigin:
         self.store_bytes += len(payload)
         return obj
 
-    def transcode(self, content_id: str, target: ResolutionProfile) -> ContentObject:
+    def transcode(self, content_id: str, tag: str, scale: Fraction) -> ContentObject:
+        """Store variant ``tag`` of ``content_id``, its size times ``scale`` in (0, 1]."""
         src_res = self._source_res.get(content_id)
         if src_res is None:
             raise UnknownContent(content_id)
-        if (content_id, target.tag) in self._store:
-            raise DuplicateVariant((content_id, target.tag))
+        if (content_id, tag) in self._store:
+            raise DuplicateVariant((content_id, tag))
         src = self._store[(content_id, src_res)]
-        out_len = src.size_bytes * target.scale.numerator // target.scale.denominator
-        obj = ContentObject(content_id, target.tag, out_len, src.digest + target.tag.encode())
-        self._store[(content_id, target.tag)] = obj
+        out_len = src.size_bytes * scale.numerator // scale.denominator
+        obj = ContentObject(content_id, tag, out_len, src.digest + tag.encode())
+        self._store[(content_id, tag)] = obj
         self.store_bytes += out_len
         busy_ms = src.size_bytes / self.transcode_rate_bps * 1000.0
         if self.on_cpu is not None:

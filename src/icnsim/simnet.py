@@ -48,7 +48,9 @@ class _LinkDir:
 
     ``rx_face`` is the receiving host's face for the link. ``free_at``
     never falls and the latency is fixed, so messages arrive in the order
-    they were sent: each delivery event takes the head of ``in_flight``.
+    they were sent: each delivery event takes the head of ``in_flight``, a
+    ``(msg, nbytes, served_by)`` record whose ``served_by`` names the node
+    that answered a Data and is empty for any other message.
     ``deliver``, bound once, is the receiving host's ``receive`` with this
     link as its first argument, and serves them all. ``src`` names the
     sender, and ``counters`` are its counters.
@@ -64,15 +66,9 @@ class _LinkDir:
         self.mbps = mbps
         self.kbps = mbps * 1000.0
         self.free_at = 0.0
-        self.in_flight: deque = deque()  # (msg, nbytes), in send order
+        self.in_flight: deque = deque()  # (msg, nbytes, served_by), in send order
         self.counters = src.counters
         self.deliver = partial(dst.receive, self)
-
-
-@dataclass(slots=True)
-class WireData:
-    data: Data
-    served_by: str
 
 
 @dataclass(slots=True)
@@ -236,14 +232,14 @@ class Network:
 
     # -- transmission --------------------------------------------------------
 
-    def send(self, link: _LinkDir, nbytes: int, msg):
+    def send(self, link: _LinkDir, nbytes: int, msg, served_by: str = ""):
         start = self.now
         if start < link.free_at:
             start = link.free_at
         link.free_at = start = start + nbytes * 8.0 / link.kbps
         link.counters.tx_pkts += 1
         link.counters.tx_bytes += nbytes
-        link.in_flight.append((msg, nbytes))
+        link.in_flight.append((msg, nbytes, served_by))
         self.schedule(start + link.latency_ms, link.deliver)
 
 
@@ -338,7 +334,7 @@ class Host:
 
         A host removed from the network takes nothing and counts nothing.
         """
-        msg, nbytes = link.in_flight.popleft()
+        msg, nbytes, served_by = link.in_flight.popleft()
         if self.removed:
             return
         self.counters.rx_pkts += 1
@@ -346,9 +342,9 @@ class Host:
         kind = type(msg)
         if kind is Interest and self.fwd is not None:
             self._emit(now, self.fwd.on_interest(now, link.rx_face, msg), self.id)
-        elif kind is WireData and self.fwd is not None:
-            self._emit(now, self.fwd.on_data(now, link.rx_face, msg.data), msg.served_by)
-        elif kind is Interest or kind is WireData:
+        elif kind is Data and self.fwd is not None:
+            self._emit(now, self.fwd.on_data(now, link.rx_face, msg), served_by)
+        elif kind is Interest or kind is Data:
             self.counters.drop(DROP_NO_ROUTE)  # an NDN packet at a host with no forwarder
         else:
             self._handle_ip(now, msg, nbytes)
@@ -366,10 +362,7 @@ class Host:
             out = faces[face]
             if type(out) is _LinkDir:
                 if t is Data:
-                    wire = object.__new__(WireData)
-                    wire.data = p
-                    wire.served_by = served_by
-                    self.net.send(out, p.wire_len, wire)
+                    self.net.send(out, p.wire_len, p, served_by)
                 else:
                     self.net.send(out, p.name._wire_len + INTEREST_FIELDS_LEN, p)
             elif out is None:
@@ -429,10 +422,10 @@ class Host:
 
     def _start_fetch(self, now: float, pf: PendingFetch):
         gw = self.fwd
-        assert isinstance(gw, Gateway) and gw.origin_ref is not None
+        assert isinstance(gw, Gateway) and gw.origin_node is not None
         rid = self.next_request_id()
         self.counters.origin_fetches += 1
-        req = IpRequest(self.id, gw.origin_ref.node, rid, pf.content_id, pf.resolution)
+        req = IpRequest(self.id, gw.origin_node, rid, pf.content_id, pf.resolution)
         self.send_ip(req, IP_REQUEST_BYTES)
         # The waiter is written here, not through ``await_ip_response``,
         # which registers consumers.
@@ -446,8 +439,7 @@ class Host:
         if msg.error is not None:
             gw.fetch_failed(now, pf.base)
             return
-        _count, actions = gw.publish_content_to_icn(now, pf.content_id, pf.resolution,
-                                                    msg.payload)
+        _count, actions = gw.publish_content_to_icn(now, pf.base, msg.payload)
         self.net.publishes.append((pf.content_id, pf.resolution, len(msg.payload), now - started))
         self._emit(now, actions, self.id)
 
@@ -496,7 +488,8 @@ class _Consumers:
     """One region's consumers attached at a node, requesting one content.
 
     The base schedules arrivals, counts issued and active requests and
-    writes the request records; a subclass fetches each request in
+    writes the request records; a request that arrives after the host was
+    removed fails at once. A subclass fetches each other request in
     ``_begin`` and ends it through ``_record``.
     """
 
@@ -535,7 +528,10 @@ class _Consumers:
         # scheduled before this request's own draws and timers.
         if self.issued < self.request_count:
             self.net.schedule(now + self._next_gap(), self._arrive)
-        self._begin(now, rid)
+        if self.host.removed:  # its node has left the network
+            self._record(rid, now, now, "", "failed", 0)
+        else:
+            self._begin(now, rid)
 
     def _begin(self, now: float, rid: int):
         raise NotImplementedError
@@ -676,6 +672,7 @@ class Population(_Consumers):
             self.net.schedule(now + self.retransmit_ms, self._watchdog, real=False)
 
     def _watchdog(self, now: float):
+        removed = self.host.removed  # if so, every waiting request fails and this stops
         for name in list(self.outstanding):
             entry = self.outstanding.get(name)
             if entry is None:
@@ -684,9 +681,9 @@ class Population(_Consumers):
             if not entry.waiters:
                 del self.outstanding[name]
                 continue
-            if now - entry.last_issue < self.retransmit_ms:
+            if now - entry.last_issue < self.retransmit_ms and not removed:
                 continue
-            if entry.attempts >= self.max_attempts:
+            if entry.attempts >= self.max_attempts or removed:
                 for req in list(entry.waiters):
                     if not req.done:
                         req.attempts = entry.attempts
@@ -698,7 +695,7 @@ class Population(_Consumers):
             for req in entry.waiters:
                 req.attempts = max(req.attempts, entry.attempts)
             self._issue_interest(name)
-        if self.active > 0 or self.issued < self.request_count:
+        if not removed and (self.active > 0 or self.issued < self.request_count):
             self.net.schedule(now + self.retransmit_ms, self._watchdog, real=False)
         else:
             self._watchdog_on = False

@@ -56,12 +56,12 @@ def filter_deliveries(monkeypatch, fn):
 
     def filtered(self, link, now):
         if not self.removed:
-            msg, nbytes = link.in_flight[0]
+            msg, nbytes, served_by = link.in_flight[0]
             msg = fn(now, link.src, self.id, msg)
             if msg is None:
                 link.in_flight.popleft()
                 return
-            link.in_flight[0] = (msg, nbytes)
+            link.in_flight[0] = (msg, nbytes, served_by)
         receive(self, link, now)
 
     monkeypatch.setattr(Host, "receive", filtered)

@@ -20,7 +20,7 @@ from icnsim.metrics import region_stats
 from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
 from icnsim.orchestration import (DomainSpec, Flavor, Orchestrator, QuotaExceeded,
                                   SliceSpec, VnfSpec)
-from icnsim.simnet import Network, Population, WireData
+from icnsim.simnet import Network, Population
 
 from conftest import (REFERENCE, assert_timeseries_adds_up, build_chain, filter_deliveries,
                       quota_snapshot)
@@ -184,13 +184,12 @@ def test_criterion_7_conservation_and_integrity(reference_run, monkeypatch):
     fired = []
 
     def corrupt_once(now, src, dst, msg):
-        if not fired and dst == "b" and isinstance(msg, WireData):
+        if not fired and dst == "b" and isinstance(msg, Data):
             fired.append(now)
-            bad = bytearray(msg.data.payload)
+            bad = bytearray(msg.payload)
             bad[0] ^= 0xFF
-            return WireData(type(msg.data)(msg.data.name, bytes(bad),
-                                           msg.data.digest, msg.data.freshness_ms,
-                                           msg.data.final_segment), msg.served_by)
+            return Data(msg.name, bytes(bad), msg.digest, msg.freshness_ms,
+                        msg.final_segment)
         return msg
 
     filter_deliveries(monkeypatch, corrupt_once)

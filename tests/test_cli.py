@@ -171,17 +171,21 @@ def test_run_runtime_failure_exits_3_and_removes_partial_outputs(tmp_path, capsy
 
 def test_run_population_outliving_its_slice_fails_its_requests(tmp_path, capsys):
     # Slice i1 holds the population's node and expires at 1 ms, before the
-    # first answer. Every later retransmission leaves the removed node on a
-    # face whose link is gone, and is dropped there as no-route.
+    # first answer. Request 0, in flight then, fails at the population's
+    # next watchdog tick (retransmit_ms 4500) and each later one at its
+    # arrival. Nothing is issued into the removed node: its two cache
+    # misses are request 0's interests, sent at 0 ms, and it drops nothing.
     sets = ["--set", "populations.0.attach_node=edge", "--set", "northbound.2.duration_ms=1"]
     assert main(["validate", str(MINI)] + sets) == 0
     out = tmp_path / "out"
     assert main(["run", str(MINI), "--out", str(out)] + sets) == 0
-    rows = (out / "requests.csv").read_text().splitlines()[1:]
-    assert len(rows) == 6 and all(r.endswith(",failed") for r in rows)
+    rows = [r.split(",") for r in (out / "requests.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert [(r[6], r[9]) for r in rows] == (
+        [("4500.000000", "failed")] + [(r[5], "failed") for r in rows[1:]])
     edge = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("node=edge ")]
-    assert len(edge) == 1 and edge[0].endswith(" drops=no-route=8")
+    assert len(edge) == 1 and " cs_misses=2 " in edge[0] and edge[0].endswith(" drops=-")
 
 
 def test_run_cdn_only_mode_schema_identical(tmp_path):
@@ -209,8 +213,10 @@ def test_publish_bench_rows_increasing(tmp_path, capsys):
 
 
 def test_publish_bench_empty_sizes_exits_2(tmp_path):
-    assert main(["publish-bench", str(MINI), "--sizes", "", "--out",
-                 str(tmp_path / "x")]) == 2
+    # A non-finite size is a bad value too, not a failed conversion.
+    for sizes in ("", "nan", "inf", "1e400"):
+        assert main(["publish-bench", str(MINI), "--sizes", sizes, "--out",
+                     str(tmp_path / "x")]) == 2, sizes
 
 
 def test_publish_bench_requires_icn_mode(tmp_path):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
-from icnsim.simnet import Population, WireData
+from icnsim.simnet import Population
 
 from conftest import build_chain, filter_deliveries
 from ndn_codec import encode_packet
@@ -105,13 +105,12 @@ def test_corruption_drops_then_retransmission_recovers(monkeypatch):
     corrupted = []
 
     def corrupt_once(now, src, dst, msg):
-        if not corrupted and dst == "b" and isinstance(msg, WireData):
+        if not corrupted and dst == "b" and isinstance(msg, Data):
             corrupted.append(now)
-            bad = bytearray(msg.data.payload)
+            bad = bytearray(msg.payload)
             bad[0] ^= 0xFF
-            d = msg.data
-            return WireData(type(d)(d.name, bytes(bad), d.digest,
-                                    d.freshness_ms, d.final_segment), msg.served_by)
+            return Data(msg.name, bytes(bad), msg.digest, msg.freshness_ms,
+                        msg.final_segment)
         return msg
 
     filter_deliveries(monkeypatch, corrupt_once)

@@ -1,8 +1,7 @@
 import pytest
 
 from icnsim.forwarder import DROP_LOOP, DROP_NO_ROUTE, Forwarder
-from icnsim.gateway import (EmptyCandidates, Gateway, OriginRef, PendingFetch,
-                            select_gateway)
+from icnsim.gateway import EmptyCandidates, Gateway, PendingFetch, select_gateway
 from icnsim.ndn import Data, Interest, Name, hash_stream
 
 BASE = Name.parse("/cdn/s1/v42/720p")
@@ -12,7 +11,7 @@ def gw(chunk=8192):
     g = Gateway(cs_capacity_bytes=0, chunk_size=chunk, publish_freshness_ms=1_000_000)
     for f in (1, 2, 9):
         g.register_face(f)
-    g.configure_origin(OriginRef("origin", {BASE: ("v42", "720p")}))
+    g.configure_origin("origin", {BASE: ("v42", "720p")})
     return g
 
 
@@ -33,19 +32,19 @@ def test_publish_answers_pending_and_is_idempotent():
     g.on_interest(0.1, 2, Interest(BASE.segment(0), nonce=2))
     g.on_interest(0.2, 1, Interest(BASE.segment(1), nonce=3))
     payload = hash_stream(b"content", 2_097_152)
-    count, acts = g.publish_content_to_icn(5.0, "v42", "720p", payload)
+    count, acts = g.publish_content_to_icn(5.0, BASE, payload)
     assert count == 256
     sends = [(face, p.name.seg_number()) for face, p in acts if type(p) is Data]
     assert sorted(sends) == [(1, 0), (1, 1), (2, 0)]
     assert not g.pending and not g.pit
-    count2, acts2 = g.publish_content_to_icn(6.0, "v42", "720p", payload)
+    count2, acts2 = g.publish_content_to_icn(6.0, BASE, payload)
     assert count2 == 256 and acts2 == []
     assert len(g.repo) == 256
 
 
 def test_repo_hit_after_publish():
     g = gw()
-    g.publish_content_to_icn(0.0, "v42", "720p", b"x" * 100)
+    g.publish_content_to_icn(0.0, BASE, b"x" * 100)
     acts = g.on_interest(1.0, 1, Interest(BASE.segment(0), nonce=1))
     assert len(acts) == 1 and type(acts[0][1]) is Data
     assert acts[0][1].payload == b"x" * 100
@@ -53,7 +52,7 @@ def test_repo_hit_after_publish():
 
 def test_publish_single_byte_payload():
     g = gw()
-    count, _ = g.publish_content_to_icn(0.0, "v42", "720p", b"q")
+    count, _ = g.publish_content_to_icn(0.0, BASE, b"q")
     assert count == 1
     assert g.repo[BASE.segment(0)].final_segment == 0
 
@@ -61,14 +60,14 @@ def test_publish_single_byte_payload():
 def test_translation_losslessness():
     g = gw(chunk=1000)
     payload = hash_stream(b"v", 12_345)
-    count, _ = g.publish_content_to_icn(0.0, "v42", "720p", payload)
+    count, _ = g.publish_content_to_icn(0.0, BASE, payload)
     joined = b"".join(g.repo[BASE.segment(i)].payload for i in range(count))
     assert joined == payload
 
 
 def test_segment_beyond_final_is_no_route():
     g = gw()
-    g.publish_content_to_icn(0.0, "v42", "720p", b"x" * 100)
+    g.publish_content_to_icn(0.0, BASE, b"x" * 100)
     acts = g.on_interest(1.0, 1, Interest(BASE.segment(7), nonce=1))
     assert acts == []
     assert g.counters.drops == {DROP_NO_ROUTE: 1}
@@ -105,7 +104,7 @@ def test_publish_skips_waiters_whose_entries_expired():
     g = gw()
     g.on_interest(0.0, 1, Interest(BASE.segment(0), nonce=1, lifetime_ms=100))
     g.on_interest(50.0, 2, Interest(BASE.segment(1), nonce=2, lifetime_ms=100))
-    count, acts = g.publish_content_to_icn(120.0, "v42", "720p", b"x" * 10000)
+    count, acts = g.publish_content_to_icn(120.0, BASE, b"x" * 10000)
     assert count == 2
     assert acts == [(2, g.repo[BASE.segment(1)])]
     assert g.counters.pit_timeouts == 1
@@ -168,10 +167,11 @@ def test_take_over_keeps_the_forwarders_faces_tables_and_counters():
     g = Gateway.take_over(f, chunk_size=100, publish_freshness_ms=5)
     for attr in ("faces", "cs", "pit", "_fib", "_lpm_cache", "counters"):
         assert getattr(g, attr) is getattr(f, attr), attr
-    assert (g.chunk_size, g.publish_freshness_ms, g.origin_ref) == (100, 5, None)
-    g.configure_origin(OriginRef("origin", {BASE: ("v42", "720p")}))
+    assert (g.chunk_size, g.publish_freshness_ms, g.origin_node, g.prefix_map) == (
+        100, 5, None, {})
+    g.configure_origin("origin", {BASE: ("v42", "720p")})
     acts = g.on_interest(0.1, 1, Interest(BASE.segment(0), nonce=2))
     assert acts == [(1, PendingFetch("v42", "720p", BASE))]
-    count, acts = g.publish_content_to_icn(0.2, "v42", "720p", b"y" * 250)
+    count, acts = g.publish_content_to_icn(0.2, BASE, b"y" * 250)
     assert count == 3 and acts == [(1, g.repo[BASE.segment(0)])]
     assert g.counters.cs_misses == 1 and g.counters.cs_hits == 0

@@ -75,6 +75,20 @@ def test_timeseries_keeps_bucket_of_removed_hosts(mode):
     assert_timeseries_adds_up(run)
 
 
+@pytest.mark.parametrize("mode", ["icn", "cdn-only"])
+def test_samples_are_taken_in_bucket_and_node_order(mode):
+    # timeseries.csv keeps the order samples are taken in. A scale-out adds
+    # a node and the ICN slice expires at 40 ms, so nodes join and leave
+    # between buckets.
+    run = run_scenario(MINI, None, ["mode=%s" % mode, "knobs.bucket_ms=5",
+                                    "knobs.scale_threshold=0", "knobs.scale_window_ms=5",
+                                    "northbound.2.duration_ms=40"])
+    assert any("scale out" in line for line in run.orchestrator.log)
+    assert "edge" not in run.net.hosts
+    keys = [(s.t_bucket_ms, s.node) for s in run.samples]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_transcoded_variant_served_through_gateway(tmp_path):
     doc = load_mini_doc()
     doc["northbound"].insert(2, {"op": "transcode", "slice": "c1",

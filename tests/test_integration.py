@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from icnsim.gateway import Gateway, OriginRef
+from icnsim.gateway import Gateway
 from icnsim.harness import run_scenario
 from icnsim.ndn import Name, make_data
 from icnsim.simnet import IP_REQUEST_BYTES, Host, IpRequest, Network
@@ -136,8 +136,8 @@ def test_mem_model_bytes():
     f.on_interest(0.0, 1, Interest(Name.parse("/v/seg=0"), nonce=1))
     assert f.mem_model_bytes() == 100 + 512
     g = Gateway(0)
-    g.configure_origin(OriginRef("o", {Name.parse("/cdn/c/r"): ("c", "r")}))
-    g.publish_content_to_icn(0.0, "c", "r", b"y" * 300)
+    g.configure_origin("o", {Name.parse("/cdn/c/r"): ("c", "r")})
+    g.publish_content_to_icn(0.0, Name.parse("/cdn/c/r"), b"y" * 300)
     assert g.mem_model_bytes() == 300
 
 

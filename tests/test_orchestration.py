@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -241,15 +242,15 @@ def test_link_installs_routes_on_every_ndn_node():
 def test_link_configures_prefix_map_from_catalog():
     net, orch, cdn, icn, gw = linked_world()
     gwf = net.hosts[gw].fwd
-    assert gwf.origin_ref.node == "cdn"
-    assert gwf.origin_ref.prefix_map == {
+    assert gwf.origin_node == "cdn"
+    assert gwf.prefix_map == {
         Name.parse("/cdn/v42/1080p"): ("v42", "1080p")}
 
 
 def test_upload_after_link_extends_prefix_map():
     net, orch, cdn, icn, gw = linked_world()
     orch.upload(cdn, "v7", b"q" * 10, "480p")
-    assert net.hosts[gw].fwd.origin_ref.prefix_map == {
+    assert net.hosts[gw].fwd.prefix_map == {
         Name.parse("/cdn/v42/1080p"): ("v42", "1080p"),
         Name.parse("/cdn/v7/480p"): ("v7", "480p")}
 
@@ -280,8 +281,7 @@ def test_transcode_charges_cache_host_when_no_transcoder():
     net, orch = make_orch()
     cdn = orch.create_slice(cdn_spec())
     orch.upload(cdn, "v", b"y" * 2_000_000, "hd")
-    from icnsim.origin import ResolutionProfile
-    orch.transcode(cdn, "v", ResolutionProfile("sd", 0.5))
+    orch.transcode(cdn, "v", "sd", Fraction(1, 2))
     assert net.hosts["cdn"].busy_ms_total == pytest.approx(100.0)
 
 

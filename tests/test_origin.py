@@ -1,17 +1,19 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from icnsim import origin as origin_mod
 from icnsim.harness import run_scenario
 from icnsim.ndn import compute_digest
-from icnsim.origin import (CdnOrigin, DuplicateContent, DuplicateVariant,
-                           ResolutionProfile, UnknownContent, synthesize_payload)
+from icnsim.origin import (CdnOrigin, DuplicateContent, DuplicateVariant, UnknownContent,
+                           synthesize_payload)
 from icnsim.simnet import Host, Network
 
 from conftest import MINI, counter_stream
 
 MIB = 1024 * 1024
+HALF = Fraction(1, 2)
 
 
 def loaded_origin(on_cpu=None):
@@ -41,21 +43,21 @@ def test_zero_byte_upload_is_legal():
 
 def test_transcode_half_scale_size_law():
     o = loaded_origin()
-    out = o.transcode("v42", ResolutionProfile("720p", 0.5))
+    out = o.transcode("v42", "720p", HALF)
     assert out.size_bytes == 1_048_576
     assert o.get("v42", "720p").payload == out.payload
 
 
 def test_transcode_deterministic_across_instances():
-    a = loaded_origin().transcode("v42", ResolutionProfile("720p", 0.5))
-    b = loaded_origin().transcode("v42", ResolutionProfile("720p", 0.5))
+    a = loaded_origin().transcode("v42", "720p", HALF)
+    b = loaded_origin().transcode("v42", "720p", HALF)
     assert a.payload == b.payload
 
 
 def test_transcode_busy_time_division_oracle():
     charged = []
     o = loaded_origin(on_cpu=charged.append)
-    o.transcode("v42", ResolutionProfile("720p", 0.5))
+    o.transcode("v42", "720p", HALF)
     # 2 MiB at 20 MB/s: 2097152 / 20e6 s = 104.8576 ms of simulated CPU.
     assert charged == [pytest.approx(104.8576, abs=1e-9)]
 
@@ -63,26 +65,18 @@ def test_transcode_busy_time_division_oracle():
 def test_transcode_errors():
     o = loaded_origin()
     with pytest.raises(UnknownContent):
-        o.transcode("nope", ResolutionProfile("720p", 0.5))
-    o.transcode("v42", ResolutionProfile("720p", 0.5))
+        o.transcode("nope", "720p", HALF)
+    o.transcode("v42", "720p", HALF)
     with pytest.raises(DuplicateVariant):
-        o.transcode("v42", ResolutionProfile("720p", 0.5))
+        o.transcode("v42", "720p", HALF)
     with pytest.raises(DuplicateVariant):
-        o.transcode("v42", ResolutionProfile("1080p", 1))
-
-
-def test_scale_validation():
-    with pytest.raises(ValueError):
-        ResolutionProfile("x", 0)
-    with pytest.raises(ValueError):
-        ResolutionProfile("x", 1.5)
-    assert ResolutionProfile("x", "1/3").scale.denominator == 3
+        o.transcode("v42", "1080p", Fraction(1))
 
 
 def test_fractional_scale_floor():
     o = CdnOrigin()
     o.upload("c", b"z" * 10, "src")
-    out = o.transcode("c", ResolutionProfile("low", "1/3"))
+    out = o.transcode("c", "low", Fraction(1, 3))
     assert out.size_bytes == 3  # floor(10/3)
 
 
@@ -131,7 +125,7 @@ def test_transcode_synthesizes_nothing_and_meters_as_eager(stream_calls):
     host = Host(Network(), "o", origin=o)
     del stream_calls[:]  # the upload's own synthesis
     src = o.get("v42", "1080p")
-    out = o.transcode("v42", ResolutionProfile("720p", 0.5))
+    out = o.transcode("v42", "720p", HALF)
     assert stream_calls == []
     eager = counter_stream(src.digest + b"720p", MIB)
     assert out.size_bytes == len(eager) == MIB
@@ -143,7 +137,7 @@ def test_transcode_synthesizes_nothing_and_meters_as_eager(stream_calls):
 def test_variant_payload_made_once_on_first_read(stream_calls):
     o = loaded_origin()
     src = o.get("v42", "1080p")
-    out = o.transcode("v42", ResolutionProfile("360p", "1/3"))
+    out = o.transcode("v42", "360p", Fraction(1, 3))
     del stream_calls[:]
     first = out.payload
     assert stream_calls == [(src.digest + b"360p", 2 * MIB // 3)]

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim.forwarder import (DROP_INTEGRITY, DROP_LOOP, DROP_NO_ROUTE,
                               DROP_UNSOLICITED, Forwarder)
-from icnsim.gateway import Gateway, OriginRef, PendingFetch
+from icnsim.gateway import Gateway, PendingFetch
 from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
 
 FRESH = 10_000_000
@@ -166,8 +166,8 @@ def build(gateway: bool) -> Forwarder:
     for prefix, hop in FIB.items():
         node.fib_insert(prefix, [(hop, 1)])
     if gateway:
-        node.configure_origin(OriginRef("origin", {base: (cid, res) for base, (cid, res, _p)
-                                                   in CONTENTS.items()}))
+        node.configure_origin("origin", {base: (cid, res) for base, (cid, res, _p)
+                                         in CONTENTS.items()})
     return node
 
 
@@ -210,8 +210,7 @@ def check_sequence(ops, gateway: bool):
         elif kind == "sweep":
             got, want = node.pit_expire(now), model.sweep(now)
         elif kind == "publish":
-            cid, res, payload = CONTENTS[name]
-            got = node.publish_content_to_icn(now, cid, res, payload)
+            got = node.publish_content_to_icn(now, name, CONTENTS[name][2])
             want = model.publish(now, name)
         else:
             got, want = node.fetch_failed(now, name), None

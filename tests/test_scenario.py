@@ -259,6 +259,19 @@ def test_resolution_size_scaling():
     assert clip.size_at("8k") is None
 
 
+def test_scale_validation():
+    # A variant's scale must lie in (0, 1]; a ratio string is read exactly.
+    for scale in (0, 1.5):
+        doc = load_doc(MINI)
+        doc["contents"][0]["resolutions"][0]["scale"] = scale
+        assert [(d.code, d.path) for d in parse_doc(doc)[1]] == [
+            ("bad-value", "contents.0.resolutions.0.scale")], scale
+    doc = load_doc(MINI)
+    doc["contents"][0]["resolutions"][0]["scale"] = "1/3"
+    scenario, diags = parse_doc(doc)
+    assert diags == [] and scenario.contents[0].resolutions == [("360p", Fraction(1, 3))]
+
+
 def test_missing_file_is_io_error():
     scenario, diags = load_scenario("/nonexistent/path.json")
     assert scenario is None

@@ -20,6 +20,9 @@ ones, so that a slow or fast spell of the host falls on both sides alike.
 The output holds both sides' output digests, every run's last line, and
 per end-to-end metric each side's quartiles and median and the number of
 pairs the change won; which way is better comes from ``BENCHMARK.json``.
+Its ``src_lines`` field holds each side's count of lines in
+``src/icnsim/*.py``, as ``wc -l`` counts them: the program size the
+ROADMAP tracks next to the bench numbers.
 The exit code is 1 if the two sides' output digests differ, or if any
 untraced run failed its checks or exited non-zero; the traced lines and
 the frame counts do not change it.
@@ -123,6 +126,11 @@ def output_digests(root: Path, scenarios=OUTPUT_SCENARIOS) -> dict[str, dict[str
     return out
 
 
+def src_lines(root: Path) -> int:
+    """Newlines in ``root``'s ``src/icnsim/*.py``, the total ``wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "icnsim").glob("*.py"))
+
+
 def quartiles(xs: list[float]) -> list[float]:
     """[q1, median, q3]; a single value is its own quartiles."""
     if len(xs) == 1:
@@ -187,6 +195,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
+        doc["src_lines"] = {"parent": src_lines(parent_root), "change": src_lines(ROOT)}
         outputs = {"parent": output_digests(parent_root), "change": output_digests(ROOT)}
         outputs["identical"] = outputs["parent"] == outputs["change"]
         doc["outputs"] = outputs
