@@ -39,8 +39,7 @@ class Counters:
     """Per-node counters exported to the harness CSVs."""
 
     __slots__ = ("rx_pkts", "tx_pkts", "rx_bytes", "tx_bytes", "cs_hits",
-                 "cs_misses", "pit_timeouts", "cs_rejections",
-                 "origin_fetches", "drops")
+                 "cs_misses", "pit_timeouts", "origin_fetches", "drops")
 
     def __init__(self):
         self.rx_pkts = 0
@@ -50,7 +49,6 @@ class Counters:
         self.cs_hits = 0
         self.cs_misses = 0
         self.pit_timeouts = 0
-        self.cs_rejections = 0
         self.origin_fetches = 0
         self.drops: dict[str, int] = {}
 
@@ -305,8 +303,7 @@ class Forwarder:
                 self.counters.pit_timeouts += 1
             self.counters.drop(DROP_UNSOLICITED)
             return []
-        if not self.cs.insert(now, d)[0]:
-            self.counters.cs_rejections += 1
+        self.cs.insert(now, d)
         out = []  # a loop, not a comprehension: one frame less per Data
         for f in entry.faces:
             if f != face:

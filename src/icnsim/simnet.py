@@ -103,6 +103,10 @@ class Network:
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         # (content_id, resolution, bytes, ms) per gateway publish
         self.publishes: list[tuple[str, str, int, float]] = []
+        # digest -> the IP response payload object found to match it. An
+        # origin resends one bytes object, so each is hashed once per
+        # network; a corrupted copy is another object and is hashed.
+        self.ip_intact: dict[bytes, bytes] = {}
 
     # -- scheduling --------------------------------------------------------
 
@@ -256,8 +260,7 @@ class Host:
 
     __slots__ = ("net", "id", "role", "fwd", "origin", "packet_ms", "cpu_ms",
                  "counters", "links", "faces", "_next_face",
-                 "origin_timeout_ms", "_next_rid", "_ip_waiters", "_ip_intact",
-                 "removed")
+                 "origin_timeout_ms", "_next_rid", "_ip_waiters", "removed")
 
     def __init__(self, net: Network, node_id: str, role: str = "host",
                  fwd: Forwarder | None = None, origin: CdnOrigin | None = None,
@@ -277,7 +280,6 @@ class Host:
         self.origin_timeout_ms = origin_timeout_ms
         self._next_rid = 0
         self._ip_waiters: dict[int, tuple[Callable, Event]] = {}  # rid -> (callback, timeout)
-        self._ip_intact: tuple[bytes, bytes] | None = None  # (payload, digest) last found intact
         self.removed = False  # set by Network.remove_host
 
     # -- faces ---------------------------------------------------------------
@@ -394,13 +396,12 @@ class Host:
             cb, timeout = waiter
             self.net.cancel(timeout)
             if msg.error is None:
-                # The origin resends one bytes object; the tuple compare matches it by identity.
-                pair = (msg.payload, msg.digest)
-                if pair != self._ip_intact:
-                    if msg.payload is not None and compute_digest(msg.payload) == msg.digest:
-                        self._ip_intact = pair
-                    else:
+                payload, known = msg.payload, self.net.ip_intact
+                if payload is None or known.get(msg.digest) is not payload:
+                    if payload is None or compute_digest(payload) != msg.digest:
                         msg.error = "integrity"
+                    else:
+                        known[msg.digest] = payload
             cb(now, msg)
 
     def _serve_ip_request(self, now: float, msg: IpRequest):
@@ -637,9 +638,10 @@ class Population(_Consumers):
         self._draining = True
         try:
             while True:
-                # The forwarder memoized the check; a Data put in a store by
-                # hand has no memo yet and is hashed here. A Data that fails
-                # it or names another last segment should have been dropped
+                # The forwarder memoized the check, and a Data from
+                # ``make_data`` is intact when built; any other Data put in
+                # a store by hand is hashed here. A Data that fails it or
+                # names another last segment should have been dropped
                 # upstream: it is a loss, so its entry stays and the watchdog
                 # retransmits it under max_attempts.
                 if (data._intact or data.intact()) and data.final_segment == self._last_seg:

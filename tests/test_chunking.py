@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,35 @@ def test_two_megabyte_content_chunks_to_256_segments():
     assert [d.name.seg_number() for d in segs] == list(range(256))
     assert reassemble(segs) == payload
     assert all(compute_digest(d.payload) == d.digest for d in segs)
+
+
+# Around SHA-256's padding boundaries (55, 56 and 64 bytes), one and two
+# blocks, and a whole 2 MiB content.
+DIGEST_SIZES = [0, 1, 31, 32, 33, 55, 56, 64, 8192, 2 * 1024 * 1024]
+
+
+@pytest.mark.parametrize("size", DIGEST_SIZES)
+def test_digests_equal_hashlib(size):
+    payload = counter_stream(b"digest", size)
+    assert compute_digest(payload) == hashlib.sha256(payload).digest()
+    assert hash_stream(b"digest", size) == payload
+    # hash_stream hashes the key plus an 8-byte counter: with a key of
+    # ``size - 8`` bytes, each message it hashes is ``size`` bytes long.
+    key = payload[: max(0, size - 8)]
+    block = hash_stream(key, 64)
+    assert block == hashlib.sha256(key + bytes(8)).digest() + \
+        hashlib.sha256(key + (1).to_bytes(8, "big")).digest()
+
+
+def test_digest_of_memoryview_slice_equals_hashlib():
+    # Segments are read-only views into one content's bytes.
+    payload = hash_stream(b"view", 3 * 8192 + 5)
+    for d in chunk_content(Name.parse("/v"), payload, 8192, 0):
+        assert type(d.payload) is memoryview
+        assert d.digest == hashlib.sha256(bytes(d.payload)).digest()
+        assert compute_digest(d.payload) == d.digest
+    view = memoryview(payload)[100:9000]
+    assert compute_digest(view) == hashlib.sha256(payload[100:9000]).digest()
 
 
 def test_ceil_split():

@@ -47,8 +47,10 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # icn); 400 and 417 before each host held its own links, so that removing
 # a link pops it from both endpoints rather than filtering two adjacency
 # lists in list comprehensions (-2 per link removed: 3 at slice expiry in
-# each mode).
-FRAMES = {"icn": 394, "cdn-only": 411}
+# each mode); 394 in icn before ``make_data`` marked each Data it builds
+# intact, so that no node calls ``intact()`` and ``compute_digest`` on a
+# published segment again (-2 per published segment: 2 in icn).
+FRAMES = {"icn": 390, "cdn-only": 411}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))

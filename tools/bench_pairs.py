@@ -22,7 +22,13 @@ per end-to-end metric each side's quartiles and median and the number of
 pairs the change won; which way is better comes from ``BENCHMARK.json``.
 Its ``src_lines`` field holds each side's count of lines in
 ``src/icnsim/*.py``, as ``wc -l`` counts them: the program size the
-ROADMAP tracks next to the bench numbers.
+ROADMAP tracks next to the bench numbers. Its ``import_rss_mb`` field
+holds each side's median peak RSS, in MiB, of 3 fresh interpreters that
+only ``import icnsim`` from that side's ``src``: the import footprint,
+which ``peak_rss_mb`` adds to the run's own data. The peak is Linux's
+``VmHWM``, not ``ru_maxrss``: Linux carries ``ru_maxrss`` across
+``exec``, so a spawned interpreter's ``ru_maxrss`` is at least the peak
+RSS of the process that spawned it.
 The exit code is 1 if the two sides' output digests differ, or if any
 untraced run failed its checks or exited non-zero; the traced lines and
 the frame counts do not change it.
@@ -45,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_SCENARIOS = ("mini", "reference")
 OUTPUT_MODES = ("icn", "cdn-only")
 RUN_CLI = "import sys; from icnsim.cli import main; sys.exit(main(sys.argv[1:]))"
+IMPORT_RSS = ("import icnsim; print([l.split()[1] for l in open('/proc/self/status')"
+              " if l.startswith('VmHWM:')][0])")
 WRITE_WORKLOAD = ("import json, sys; from pathlib import Path; sys.path.insert(0, 'perfbench'); "
                   "import workloads; Path(sys.argv[3]).write_text(json.dumps("
                   "workloads.generate(sys.argv[1], Path('.'), int(sys.argv[2]))))")
@@ -131,6 +139,16 @@ def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "icnsim").glob("*.py"))
 
 
+def import_rss_mb(root: Path, runs: int = 3) -> float:
+    """Median peak RSS (``VmHWM``) in MiB of ``runs`` fresh interpreters
+    that import ``icnsim`` from ``root``'s ``src`` and do nothing else."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    kib = [int(subprocess.run([sys.executable, "-c", IMPORT_RSS], cwd=root, env=env,
+                              check=True, capture_output=True, text=True).stdout)
+           for _ in range(runs)]
+    return statistics.median(kib) / 1024.0
+
+
 def quartiles(xs: list[float]) -> list[float]:
     """[q1, median, q3]; a single value is its own quartiles."""
     if len(xs) == 1:
@@ -196,6 +214,8 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
         doc["src_lines"] = {"parent": src_lines(parent_root), "change": src_lines(ROOT)}
+        doc["import_rss_mb"] = {"parent": import_rss_mb(parent_root),
+                                "change": import_rss_mb(ROOT)}
         outputs = {"parent": output_digests(parent_root), "change": output_digests(ROOT)}
         outputs["identical"] = outputs["parent"] == outputs["change"]
         doc["outputs"] = outputs
