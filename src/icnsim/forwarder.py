@@ -229,12 +229,14 @@ class Forwarder:
     # -- packet pipeline ---------------------------------------------------
 
     def on_interest(self, now: float, face: int, interest: Interest) -> list[Action]:
-        """Admission, then the content store, then ``_miss``.
+        """Admission, then the content store, then the PIT and the FIB.
 
         Admission checks the face and detects loops. An entry read at or
         after its deadline has expired: it is removed and counted as a
         timeout. An interest at hop limit 0, or whose nonce a live entry
-        holds on any face, loops and is dropped.
+        holds on any face, loops and is dropped. An admitted interest the
+        content store cannot answer aggregates on the live PIT entry, or
+        goes out on the FIB's best hop other than ``face``.
         """
         if face not in self.faces:
             raise UnknownFace(face)
@@ -256,21 +258,14 @@ class Forwarder:
             if data is not None:
                 self.counters.cs_hits += 1
                 return [(face, data)]
-        return self._miss(now, face, interest, entry)
-
-    def _miss(self, now: float, face: int, interest: Interest,
-              entry: PitEntry | None) -> list[Action]:
-        """An admitted interest the content store cannot answer: aggregate
-        it on the live PIT ``entry``, or forward it on the FIB's best hop
-        other than ``face``."""
         self.counters.cs_misses += 1
         if entry is not None:
             entry.faces[face] = interest.nonce
             return []
         try:
-            fe = self._lpm_cache[interest.name]
+            fe = self._lpm_cache[name]
         except KeyError:
-            fe = self.fib_longest_prefix_match(interest.name)
+            fe = self.fib_longest_prefix_match(name)
         if fe is not None:
             for hop, _cost in fe.next_hops:
                 if hop != face:

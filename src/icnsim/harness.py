@@ -106,8 +106,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
 
     for nd in scenario.nodes:
         net.add_host(Host(net, nd.id, "host", fwd=Forwarder(nd.cs_capacity_bytes),
-                          per_packet_cost_ms=knobs.per_packet_cost_ms,
-                          origin_timeout_ms=knobs.origin_timeout_ms))
+                          per_packet_cost_ms=knobs.per_packet_cost_ms))
 
     orch = Orchestrator(net, scenario.domains, knobs, scenario.mode)
 

@@ -2,9 +2,10 @@
 
 The orchestrator owns per-domain VIMs (quota accountants), creates and
 destroys CDN/ICN slices atomically, links a CDN slice to an ICN slice by
-selecting one NDN node and giving it the gateway role, and applies a threshold
-scale-out policy from VNF usage reports. ``slice_faults`` holds every
-slice rule, shared with the static scenario validator.
+selecting one NDN node and attaching the gateway producer to it, and
+applies a threshold scale-out policy from VNF usage reports.
+``slice_faults`` holds every slice rule, shared with the static scenario
+validator.
 """
 
 from __future__ import annotations
@@ -260,8 +261,7 @@ class Orchestrator:
         elif v.role in ("cache", "streamer"):
             origin = state.origin
         host = Host(self.net, v.node, v.role, fwd=fwd, origin=origin, vcpus=v.flavor.vcpus,
-                    per_packet_cost_ms=k.per_packet_cost_ms,
-                    origin_timeout_ms=k.origin_timeout_ms)
+                    per_packet_cost_ms=k.per_packet_cost_ms)
         self.net.add_host(host)
         inst = VnfInstance(v, alloc, host)
         state.instances.append(inst)
@@ -322,8 +322,8 @@ class Orchestrator:
 
     def link_slices(self, cdn_sid: int, icn_sid: int, w: float,
                     demand: list[tuple[str, int]], prefix: Name) -> str:
-        """Select the gateway, give it the gateway role, configure it and
-        install routes toward it.
+        """Select the gateway node, attach the gateway producer to it once,
+        route the prefix to the producer there and toward that node elsewhere.
 
         ``demand`` pairs consumer attach nodes with request counts; the
         demand latency of a candidate is the count-weighted mean of its
@@ -348,9 +348,11 @@ class Orchestrator:
             triples.append((inst.host.id, to_cache, to_demand))
         gw_node = select_gateway(triples, w)
         gw_host = self.net.hosts[gw_node]
-        if not isinstance(gw_host.fwd, Gateway):
-            gw_host.fwd = Gateway.take_over(gw_host.fwd, self.knobs.chunk_size,
-                                            self.knobs.publish_freshness_ms)
+        k = self.knobs
+        if gw_host.gateway is None:
+            gw_host.gateway = Gateway(gw_host, k.chunk_size, k.publish_freshness_ms,
+                                      k.origin_timeout_ms)
+        gw_host.fwd.fib_insert(prefix, [(gw_host.gateway.face, 0)])
         icn.gateway_node = gw_node
         icn.linked_cdn = cdn_sid
         icn.prefix = prefix
@@ -372,7 +374,7 @@ class Orchestrator:
             for content_id, resolution in cdn.origin.catalog():
                 base = Name(icn.prefix.components + (content_id.encode(), resolution.encode()))
                 prefix_map[base] = (content_id, resolution)
-            self.net.hosts[icn.gateway_node].fwd.configure_origin(serve, prefix_map)
+            self.net.hosts[icn.gateway_node].gateway.configure_origin(serve, prefix_map)
 
     def _install_routes(self, prefix: Name, gw_node: str):
         """Route the content prefix toward the gateway on every NDN node."""

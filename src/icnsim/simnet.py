@@ -3,11 +3,12 @@
 Nodes, point-to-point links with latency and per-direction FIFO
 bandwidth serialization, a global virtual clock in float milliseconds,
 consumer request generators, and the host wrapper that turns the
-forwarder's ``(face, packet)`` pairs into wire traffic. Each direction
-of a link is one ``_LinkDir``, held only by the host that sends on it:
-in its ``links`` under the peer and in its ``faces`` under the face.
-IP routing reads the hosts' links. Everything is
-single-threaded and fully deterministic: events execute in (time, seq)
+forwarder's ``(face, packet)`` pairs into wire traffic or hands them to
+the application on the face (a consumer population or the gateway
+producer). Each direction of a link is one ``_LinkDir``, held only by
+the host that sends on it: in its ``links`` under the peer and in its
+``faces`` under the face. IP routing reads the hosts' links. Everything
+is single-threaded and fully deterministic: events execute in (time, seq)
 order with seq assigned at scheduling. The heap holds ``(time, seq,
 Event)`` tuples: seq is unique, so heap order is a tuple comparison in C
 that never reaches the Event.
@@ -23,7 +24,6 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .forwarder import DROP_NO_ROUTE, Counters, Forwarder
-from .gateway import Gateway, PendingFetch
 from .ndn import (DEFAULT_HOP_LIMIT, INTEREST_FIELDS_LEN, U32_MAX, Data, Interest,
                   Name, compute_digest)
 from .origin import CdnOrigin, UnknownContent
@@ -103,9 +103,9 @@ class Network:
         self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         # (content_id, resolution, bytes, ms) per gateway publish
         self.publishes: list[tuple[str, str, int, float]] = []
-        # digest -> the IP response payload object found to match it. An
-        # origin resends one bytes object, so each is hashed once per
-        # network; a corrupted copy is another object and is hashed.
+        # digest -> the payload object an origin sends under it. The origin
+        # hashed that very object, so no receiver hashes it again; a
+        # corrupted copy is another object and is hashed.
         self.ip_intact: dict[bytes, bytes] = {}
 
     # -- scheduling --------------------------------------------------------
@@ -250,26 +250,26 @@ class Network:
 class Host:
     """One simulated machine: faces, links, counters, meters and its services.
 
-    A host may run an NDN forwarder (possibly a gateway), host a CDN
-    origin service, forward plain IP messages hop by hop, or any mix.
-    ``links`` maps each peer to the outgoing ``_LinkDir``, in the order
-    added. ``faces`` maps each face to what it sends on: its outgoing
-    ``_LinkDir``, its application's callback, or ``None`` once its link
-    is removed.
+    A host may run an NDN forwarder, with the gateway's producer on one of
+    its faces, host a CDN origin service, forward plain IP messages hop by
+    hop, or any mix. ``links`` maps each peer to the outgoing ``_LinkDir``,
+    in the order added. ``faces`` maps each face to what it sends on: its
+    outgoing ``_LinkDir``, its application's callback (a consumer
+    population or the gateway), or ``None`` once its link is removed.
     """
 
-    __slots__ = ("net", "id", "role", "fwd", "origin", "packet_ms", "cpu_ms",
-                 "counters", "links", "faces", "_next_face",
-                 "origin_timeout_ms", "_next_rid", "_ip_waiters", "removed")
+    __slots__ = ("net", "id", "role", "fwd", "gateway", "origin", "packet_ms", "cpu_ms",
+                 "counters", "links", "faces", "_next_face", "_next_rid", "_ip_waiters",
+                 "removed")
 
     def __init__(self, net: Network, node_id: str, role: str = "host",
                  fwd: Forwarder | None = None, origin: CdnOrigin | None = None,
-                 vcpus: int = 1, per_packet_cost_ms: float = 0.02,
-                 origin_timeout_ms: float = 30_000.0):
+                 vcpus: int = 1, per_packet_cost_ms: float = 0.02):
         self.net = net
         self.id = node_id
         self.role = role
         self.fwd = fwd
+        self.gateway = None  # the gateway producer slice linking builds here, if any
         self.origin = origin
         self.packet_ms = per_packet_cost_ms / max(1, vcpus)
         self.cpu_ms = 0.0
@@ -277,7 +277,6 @@ class Host:
         self.links: dict[str, _LinkDir] = {}
         self.faces: dict[int, _LinkDir | Callable | None] = {}
         self._next_face = 0
-        self.origin_timeout_ms = origin_timeout_ms
         self._next_rid = 0
         self._ip_waiters: dict[int, tuple[Callable, Event]] = {}  # rid -> (callback, timeout)
         self.removed = False  # set by Network.remove_host
@@ -325,6 +324,8 @@ class Host:
         total = 0
         if self.fwd is not None:
             total += self.fwd.mem_model_bytes()
+        if self.gateway is not None:
+            total += self.gateway.repo_bytes
         if self.origin is not None:
             total += self.origin.store_bytes
         return total
@@ -352,24 +353,20 @@ class Host:
             self._handle_ip(now, msg, nbytes)
 
     def _emit(self, now: float, actions, served_by: str):
-        """Send each ``(face, packet)`` pair on its face's link, or hand a
-        Data to the app on its face; a PendingFetch starts an origin fetch.
-        A face whose link is removed drops the packet as no-route."""
+        """Send each ``(face, packet)`` pair on its face's link, or hand the
+        packet to the application on its face. A face whose link is removed
+        drops the packet as no-route."""
         faces = self.faces
         for face, p in actions:
-            t = type(p)
-            if t is PendingFetch:
-                self._start_fetch(now, p)
-                continue
             out = faces[face]
             if type(out) is _LinkDir:
-                if t is Data:
+                if type(p) is Data:
                     self.net.send(out, p.wire_len, p, served_by)
                 else:
                     self.net.send(out, p.name._wire_len + INTEREST_FIELDS_LEN, p)
             elif out is None:
                 self.counters.drop(DROP_NO_ROUTE)
-            elif t is Data:
+            else:
                 out(now, p, served_by)
 
     # -- IP side ---------------------------------------------------------------
@@ -395,13 +392,11 @@ class Host:
                 return
             cb, timeout = waiter
             self.net.cancel(timeout)
-            if msg.error is None:
-                payload, known = msg.payload, self.net.ip_intact
-                if payload is None or known.get(msg.digest) is not payload:
-                    if payload is None or compute_digest(payload) != msg.digest:
-                        msg.error = "integrity"
-                    else:
-                        known[msg.digest] = payload
+            payload = msg.payload
+            if msg.error is None and (payload is None or (
+                    self.net.ip_intact.get(msg.digest) is not payload
+                    and compute_digest(payload) != msg.digest)):
+                msg.error = "integrity"
             cb(now, msg)
 
     def _serve_ip_request(self, now: float, msg: IpRequest):
@@ -416,33 +411,10 @@ class Host:
             self.send_ip(resp, IP_REQUEST_BYTES)
             return
         payload = self.origin.stream(obj)
-        resp = IpResponse(self.id, msg.src, msg.request_id, payload, obj.digest, None)
+        digest = obj.digest
+        self.net.ip_intact[digest] = payload
+        resp = IpResponse(self.id, msg.src, msg.request_id, payload, digest, None)
         self.send_ip(resp, len(payload))
-
-    # -- gateway fetch plumbing --------------------------------------------------
-
-    def _start_fetch(self, now: float, pf: PendingFetch):
-        gw = self.fwd
-        assert isinstance(gw, Gateway) and gw.origin_node is not None
-        rid = self.next_request_id()
-        self.counters.origin_fetches += 1
-        req = IpRequest(self.id, gw.origin_node, rid, pf.content_id, pf.resolution)
-        self.send_ip(req, IP_REQUEST_BYTES)
-        # The waiter is written here, not through ``await_ip_response``,
-        # which registers consumers.
-        self._ip_waiters[rid] = (partial(self._end_fetch, pf, now),
-                                 self.net.schedule(now + self.origin_timeout_ms,
-                                                   partial(self._ip_timeout, rid)))
-
-    def _end_fetch(self, pf: PendingFetch, started: float, now: float, msg: IpResponse):
-        """Publish the fetched content, or fail its waiters on an error response."""
-        gw = self.fwd
-        if msg.error is not None:
-            gw.fetch_failed(now, pf.base)
-            return
-        _count, actions = gw.publish_content_to_icn(now, pf.base, msg.payload)
-        self.net.publishes.append((pf.content_id, pf.resolution, len(msg.payload), now - started))
-        self._emit(now, actions, self.id)
 
 
 @dataclass(slots=True)

@@ -291,9 +291,9 @@ def test_criterion_10_quota_conservation():
 # simulation output and must say which bytes changed and why.
 REFERENCE_DIGESTS = {
     "requests.csv": "321ada8efca155cba45b0e5d5eed20fead73b0281b9e8b4aaf2a91564d1ef34c",
-    "node_counters.csv": "9641d22bddf54ba4be6c9c6a304cb19bced1f771ac6e6541ab3a3e1140307afa",
-    "timeseries.csv": "bb5231dda53aded7774ffaa9e97922b3f66975e0d8320b55f077d0f413e983c6",
-    "summary.txt": "9ad9015d3fa113afc6b84c51181ed69777f95f4aecae467dc85edcee77e6c85a",
+    "node_counters.csv": "3d444939bf0fc8ad1f08efacd9cea039aee0a7e428c2873ace8f5dfeaee7b927",
+    "timeseries.csv": "d680a2acde09503a7158551208f33bb5bb9962317912ea938b0bd2abc560b0cc",
+    "summary.txt": "40c276fdb29f344ea6a982f5586ca834ae3b4c2e484703af3dc93284ccbc30c1",
 }
 
 

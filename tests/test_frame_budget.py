@@ -49,8 +49,16 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # lists in list comprehensions (-2 per link removed: 3 at slice expiry in
 # each mode); 394 in icn before ``make_data`` marked each Data it builds
 # intact, so that no node calls ``intact()`` and ``compute_digest`` on a
-# published segment again (-2 per published segment: 2 in icn).
-FRAMES = {"icn": 390, "cdn-only": 411}
+# published segment again (-2 per published segment: 2 in icn); 390 and
+# 411 before the gateway became a producer on a face of a plain forwarder
+# and the content-store miss was folded into ``on_interest`` (icn +17: each
+# of the 2 segments the gateway answers now takes the forwarder's FIB
+# lookup, whose prefix names are built afresh, a decrement, an ``on_data``
+# and a store insert at the gateway, while the ``_miss`` step (-8), the
+# PIT scan of ``_drain`` (-6) and the gateway's lookup helpers are gone),
+# and an origin recorded the digest of the object it sends, so that no IP
+# receiver hashes it again (-1 per distinct payload: 1 in each mode).
+FRAMES = {"icn": 407, "cdn-only": 410}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))

@@ -135,10 +135,12 @@ def test_mem_model_bytes():
     f.cs.insert(0.0, make_data(Name.parse("/v/seg=1"), b"x" * 100, 10_000, 1))
     f.on_interest(0.0, 1, Interest(Name.parse("/v/seg=0"), nonce=1))
     assert f.mem_model_bytes() == 100 + 512
-    g = Gateway(0)
-    g.configure_origin("o", {Name.parse("/cdn/c/r"): ("c", "r")})
-    g.publish_content_to_icn(0.0, Name.parse("/cdn/c/r"), b"y" * 300)
-    assert g.mem_model_bytes() == 300
+    # A host adds its gateway's repo to its forwarder's tables.
+    host = Host(Network(), "gw", fwd=Forwarder(0))
+    host.gateway = Gateway(host)
+    host.gateway.configure_origin("o", {Name.parse("/cdn/c/r"): ("c", "r")})
+    host.gateway.publish_content_to_icn(0.0, Name.parse("/cdn/c/r"), b"y" * 300)
+    assert host.fwd.mem_model_bytes() == 0 and host.mem_bytes() == 300
 
 
 def test_busy_ms_derived_from_packets_and_charged_work():

@@ -204,16 +204,20 @@ def test_link_gives_the_gateway_role_to_the_selected_node_only():
     before = net.hosts["ndn-gw"].fwd
     gw = orch.link_slices(cdn, icn, 1.0, [], Name.parse("/cdn"))
     host = net.hosts[gw]
-    assert type(host.fwd) is Gateway and host.fwd is not before
-    # The gateway keeps the node's faces, tables and counters.
-    for attr in ("faces", "cs", "pit", "_fib", "counters"):
-        assert getattr(host.fwd, attr) is getattr(before, attr), attr
-    assert host.counters is host.fwd.counters
+    # The node keeps its plain forwarder; the gateway is a producer on a
+    # face of it, which the node's FIB reaches at cost 0.
+    assert type(host.fwd) is Forwarder and host.fwd is before
+    g = host.gateway
+    assert type(g) is Gateway and g.host is host
+    assert host.faces[g.face] == g.on_interest and g.face in host.fwd.faces
+    e = host.fwd.fib_longest_prefix_match(Name.parse("/cdn/v42/1080p/seg=0"))
+    assert e.prefix == Name.parse("/cdn") and e.next_hops == [(g.face, 0)]
     others = [n for n in net.hosts if n.startswith("ndn-") and n != gw]
     assert others and all(type(net.hosts[n].fwd) is Forwarder for n in others)
+    assert all(net.hosts[n].gateway is None for n in others)
     # A second link keeps the gateway it gave.
     assert orch.link_slices(cdn, icn, 1.0, [], Name.parse("/cdn")) == gw
-    assert net.hosts[gw].fwd is host.fwd
+    assert net.hosts[gw].gateway is g
 
 
 def test_link_installs_routes_on_every_ndn_node():
@@ -241,7 +245,7 @@ def test_link_installs_routes_on_every_ndn_node():
 
 def test_link_configures_prefix_map_from_catalog():
     net, orch, cdn, icn, gw = linked_world()
-    gwf = net.hosts[gw].fwd
+    gwf = net.hosts[gw].gateway
     assert gwf.origin_node == "cdn"
     assert gwf.prefix_map == {
         Name.parse("/cdn/v42/1080p"): ("v42", "1080p")}
@@ -250,7 +254,7 @@ def test_link_configures_prefix_map_from_catalog():
 def test_upload_after_link_extends_prefix_map():
     net, orch, cdn, icn, gw = linked_world()
     orch.upload(cdn, "v7", b"q" * 10, "480p")
-    assert net.hosts[gw].fwd.prefix_map == {
+    assert net.hosts[gw].gateway.prefix_map == {
         Name.parse("/cdn/v42/1080p"): ("v42", "1080p"),
         Name.parse("/cdn/v7/480p"): ("v7", "480p")}
 

@@ -1,31 +1,41 @@
 """The forwarder action protocol, checked against a brute-force PIT model.
 
-A forwarder or gateway returns only work for its host and records a drop
-once, in ``Counters.drop``. Random interest, data and sweep sequences over
-a few names, faces and lifetimes must give the actions, drops, timeouts
-and PIT of a model that keeps the PIT as a flat list of (name, face,
-nonce, deadline) records and rescans it. The model knows no other nonce
-memory: an interest loops only if its nonce is the latest one of some face
-on the name's live records. A name's records expire when they are read at
-or after their deadline, or when a sweep finds them past it; either way
-they count one timeout. An empty ``on_interest`` or ``on_data`` result is
-exactly one of: one new drop, an aggregation into a PIT entry that was
-live before the call, or a segment of a content whose origin fetch is
-already pending. A non-empty result never adds a drop.
+A forwarder returns only work for its host and records a drop once, in
+``Counters.drop``. The node under test is a host whose forwarder has an
+application callable on every face, recording what the host sends there;
+in the gateway case the gateway producer holds one more face, which the
+FIB routes ``/cdn`` to at cost 0. Random interest, data and sweep
+sequences over a few names, faces and lifetimes, and publishes and failed
+fetches, must give the sends, drops, timeouts, content-store hits and
+misses, PIT, waiting names and origin fetches of a model that keeps the
+PIT as a flat list of (name, face, nonce, deadline) records and rescans
+it. The model knows no other nonce memory: an interest loops only if its
+nonce is the latest one of some face on the name's live records. A name's
+records expire when they are read at or after their deadline, or when a
+sweep finds them past it; either way they count one timeout. A step that
+sends nothing is exactly one of: one new drop, an aggregation into a PIT
+entry that was live before the step, or an interest whose name now waits
+on its content's origin fetch. A step that sends something adds no drop.
 """
+
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
 from icnsim.forwarder import (DROP_INTEGRITY, DROP_LOOP, DROP_NO_ROUTE,
                               DROP_UNSOLICITED, Forwarder)
-from icnsim.gateway import Gateway, PendingFetch
+from icnsim.gateway import Gateway
 from icnsim.ndn import Data, Interest, Name, chunk_content, make_data
+from icnsim.simnet import Host, IpResponse, Network
 
 FRESH = 10_000_000
 DOWN = (1, 2, 3)
 UP = 9
+APP_FACES = 10    # faces 0 to 9 record their sends
+PRODUCER = 10     # the gateway's face
 # /v goes upstream; /w's only next hop is face 1; /z has no route.
 FIB = {Name.parse("/v"): UP, Name.parse("/w"): 1}
+GATEWAY_FIB = {**FIB, Name.parse("/cdn"): PRODUCER}
 ROUTED = [Name.parse(p).segment(0) for p in ("/v", "/w")]
 UNROUTED = [Name.parse("/z").segment(0)]
 CHUNK = 4
@@ -34,22 +44,25 @@ CONTENTS = {Name.parse("/cdn/a/r"): ("a", "r", b"abcdefgh"),   # segments 0 and 
 SERVED = [base.segment(k) for base in CONTENTS for k in (0, 1, 2)]
 
 
-def route(name: Name) -> int | None:
-    return next((hop for prefix, hop in FIB.items() if prefix.is_prefix_of(name)), None)
-
-
 class Model:
-    """The tables a forwarder or gateway should hold, kept the slow way."""
+    """The tables a forwarder and its gateway should hold, kept the slow way."""
 
     def __init__(self, gateway: bool):
-        self.gateway = gateway
+        self.fib = GATEWAY_FIB if gateway else FIB
         self.records: list[tuple[Name, int, int, float]] = []  # PIT, in arrival order
         self.timeouts = 0
+        self.hits = 0
+        self.misses = 0
         self.cs: dict[Name, Data] = {}
         self.repo: dict[Name, Data] = {}
         self.published: dict[Name, int] = {}
-        self.pending: set[Name] = set()
+        self.waiting: dict[Name, list[Name]] = {}  # base -> names, in first-ask order
+        self.fetches = 0
         self.drops: dict[str, int] = {}
+
+    def route(self, name: Name) -> int | None:
+        return next((hop for prefix, hop in self.fib.items() if prefix.is_prefix_of(name)),
+                    None)
 
     def drop(self, reason: str) -> list:
         self.drops[reason] = self.drops.get(reason, 0) + 1
@@ -91,40 +104,49 @@ class Model:
         self.timeouts += len(expired)
         return expired
 
-    def served_base(self, name: Name) -> Name | None:
-        if self.gateway and name.seg_number() is not None and name.parent() in CONTENTS:
-            return name.parent()
-        return None
-
     def interest(self, now: float, face: int, it: Interest) -> list:
         name = it.name
         pending = self.live(now, name)
         if it.hop_limit == 0 or it.nonce in [n for _f, n in self.pit().get(name, [])]:
             return self.drop(DROP_LOOP)
-        base = self.served_base(name)
-        store = self.repo if base is not None else self.cs
-        if name in store:
-            return [(face, store[name])]
-        if base is not None and base in self.published:
-            return self.drop(DROP_NO_ROUTE)
+        if name in self.cs:
+            self.hits += 1
+            return [(face, self.cs[name])]
+        self.misses += 1
         if pending:
             self.records.append((name, face, it.nonce, self.deadline(name)))
             return []
-        deadline = now + it.lifetime_ms
-        if base is not None:
-            self.records.append((name, face, it.nonce, deadline))
-            if base in self.pending:
-                return []
-            self.pending.add(base)
-            cid, res, _payload = CONTENTS[base]
-            return [(face, PendingFetch(cid, res, base))]
-        hop = route(name)
+        hop = self.route(name)
         if hop is None or hop == face:
             return self.drop(DROP_NO_ROUTE)
         if it.hop_limit <= 1:
             return self.drop(DROP_LOOP)
-        self.records.append((name, face, it.nonce, deadline))
-        return [(hop, Interest(name, it.nonce, it.lifetime_ms, it.hop_limit - 1))]
+        self.records.append((name, face, it.nonce, now + it.lifetime_ms))
+        if hop != PRODUCER:
+            return [(hop, Interest(name, it.nonce, it.lifetime_ms, it.hop_limit - 1))]
+        return self.produce(now, name)
+
+    def produce(self, now: float, name: Name) -> list:
+        """The gateway's answer to an interest the forwarder sent it."""
+        if name in self.repo:
+            return self.data(now, PRODUCER, self.repo[name], True)
+        base = name.parent()
+        if name.seg_number() is None or base not in CONTENTS or base in self.published:
+            return self.refuse(now, name)
+        if base not in self.waiting:
+            self.waiting[base] = []
+            self.fetches += 1
+        if name not in self.waiting[base]:
+            self.waiting[base].append(name)
+        return []
+
+    def refuse(self, now: float, name: Name) -> list:
+        """End a name's records: live ones drop as no-route, expired ones
+        count a timeout."""
+        if self.live(now, name):
+            self.take(name)
+            self.drop(DROP_NO_ROUTE)
+        return []
 
     def data(self, now: float, face: int, d: Data, intact: bool) -> list:
         if not intact:
@@ -134,41 +156,52 @@ class Model:
         self.cs[d.name] = d
         return [(f, d) for f in self.take(d.name) if f != face]
 
-    def drain(self, now: float, base: Name) -> list:
-        self.pending.discard(base)
+    def end(self, now: float, base: Name) -> list:
         actions = []
-        for name in [n for n in self.pit() if base.is_prefix_of(n)]:
-            if not self.live(now, name):
-                continue
-            faces = self.take(name)
-            if name in self.repo:
-                actions += [(f, self.repo[name]) for f in faces]
+        for name in self.waiting.pop(base, []):
+            if name in self.repo and name in self.pit() and self.deadline(name) > now:
+                actions += self.data(now, PRODUCER, self.repo[name], True)
             else:
-                self.drop(DROP_NO_ROUTE)
+                self.refuse(now, name)
         return actions
 
-    def publish(self, now: float, base: Name) -> tuple[int, list]:
+    def publish(self, now: float, base: Name) -> list:
         if base in self.published:
-            return self.published[base], []
+            return []
         segments = chunk_content(base, CONTENTS[base][2], CHUNK, FRESH)
         self.repo.update((d.name, d) for d in segments)
         self.published[base] = len(segments)
-        return len(segments), self.drain(now, base)
+        return self.end(now, base)
 
 
-def build(gateway: bool) -> Forwarder:
+def build(gateway: bool) -> tuple[Host, Gateway | None, list]:
+    """The node under test, its gateway if any, and the list of its sends."""
+    net = Network()
+    host = Host(net, "n", fwd=Forwarder(1 << 20))
+    net.add_host(host)
+    sent = []
+    for face in range(APP_FACES):
+        assert host.attach_app(partial(lambda f, now, p, served_by: sent.append((f, p)),
+                                       face)) == face
+    gw = None
     if gateway:
-        node = Gateway(1 << 20, chunk_size=CHUNK, publish_freshness_ms=FRESH)
-    else:
-        node = Forwarder(1 << 20)
-    for face in DOWN + (UP,):
-        node.register_face(face)
-    for prefix, hop in FIB.items():
-        node.fib_insert(prefix, [(hop, 1)])
-    if gateway:
-        node.configure_origin("origin", {base: (cid, res) for base, (cid, res, _p)
-                                         in CONTENTS.items()})
-    return node
+        gw = Gateway(host, chunk_size=CHUNK, publish_freshness_ms=FRESH)
+        assert gw.face == PRODUCER
+        gw.configure_origin("origin", {base: (cid, res) for base, (cid, res, _p)
+                                       in CONTENTS.items()})
+        # An origin one link away, so a fetch sends its request; the
+        # network never runs, so it is never answered.
+        net.add_host(Host(net, "origin"))
+        net.add_link("n", "origin", 1.0, 100.0)
+    for prefix, hop in (GATEWAY_FIB if gateway else FIB).items():
+        host.fwd.fib_insert(prefix, [(hop, 0 if hop == PRODUCER else 1)])
+    return host, gw, sent
+
+
+def fetch_of(host: Host, base: Name) -> int | None:
+    """The request id of the origin fetch waiting for ``base``, if any."""
+    return next((rid for rid, (cb, _t) in host._ip_waiters.items() if cb.args[0] == base),
+                None)
 
 
 def interests(names):
@@ -189,50 +222,66 @@ GATEWAY_OPS = st.lists(st.one_of(
 
 
 def check_sequence(ops, gateway: bool):
-    node, model = build(gateway), Model(gateway)
+    (host, gw, sent), model = build(gateway), Model(gateway)
+    node, counters = host.fwd, host.counters
     for step, op in enumerate(ops):
         now = float(step)
         kind, name = op[0], op[1]
         live_before = {n: dict(e.faces) for n, e in node.pit.items() if e.deadline > now}
-        pending_before = set(node.pending) if gateway else set()
-        drops_before = sum(node.counters.drops.values())
+        drops_before = sum(counters.drops.values())
+        sent.clear()
         if kind == "interest":
             face, nonce, hop, lifetime = op[2:]
             it = Interest(name, nonce, lifetime, hop)
-            got, want = node.on_interest(now, face, it), model.interest(now, face, it)
+            host._emit(now, node.on_interest(now, face, it), host.id)
+            want = model.interest(now, face, it)
         elif kind == "data":
             intact = op[2]
-            face = route(name) or UP  # data comes back from upstream
+            face = model.route(name) or UP  # data comes back from upstream
             d = make_data(name, str(name).encode(), FRESH, 1)
             if not intact:
                 d = Data(name, b"corrupted", d.digest, FRESH, 1)
-            got, want = node.on_data(now, face, d), model.data(now, face, d, intact)
+            host._emit(now, node.on_data(now, face, d), host.id)
+            want = model.data(now, face, d, intact)
         elif kind == "sweep":
-            got, want = node.pit_expire(now), model.sweep(now)
-        elif kind == "publish":
-            got = node.publish_content_to_icn(now, name, CONTENTS[name][2])
-            want = model.publish(now, name)
+            assert node.pit_expire(now) == model.sweep(now), (step, op)
+            want = []
         else:
-            got, want = node.fetch_failed(now, name), None
-            model.drain(now, name)
-        assert got == want, (step, op)
-        assert node.counters.drops == model.drops, (step, op)
-        assert node.counters.pit_timeouts == model.timeouts, (step, op)
+            rid = fetch_of(host, name)
+            if kind == "publish":
+                payload = CONTENTS[name][2]
+                if rid is None:
+                    count, actions = gw.publish_content_to_icn(now, name, payload)
+                    assert count == -(-len(payload) // CHUNK), (step, op)
+                    host._emit(now, actions, host.id)
+                else:  # the fetch succeeds
+                    cb, _timeout = host._ip_waiters.pop(rid)
+                    cb(now, IpResponse("origin", "n", rid, payload, b"", None))
+                want = model.publish(now, name)
+            else:
+                if rid is not None:
+                    host._ip_timeout(rid, now)
+                want = model.end(now, name) if rid is not None else []
+        assert sent == want, (step, op)
+        assert counters.drops == model.drops, (step, op)
+        assert counters.pit_timeouts == model.timeouts, (step, op)
+        assert (counters.cs_hits, counters.cs_misses) == (model.hits, model.misses), (step, op)
         assert {n: list(e.faces.items()) for n, e in node.pit.items()} == model.pit()
         if gateway:
-            assert node.pending == model.pending
+            assert {b: list(names) for b, names in gw.waiting.items()} == model.waiting
+            assert counters.origin_fetches == model.fetches, (step, op)
         if kind not in ("interest", "data"):
             continue
-        new_drops = sum(node.counters.drops.values()) - drops_before
-        if got:
+        new_drops = sum(counters.drops.values()) - drops_before
+        if sent:
             assert new_drops == 0, (step, op)
             continue
         entry = node.pit.get(name)
         aggregated = (kind == "interest" and name in live_before and entry is not None
                       and entry.faces.get(face) == nonce != live_before[name].get(face))
-        pending_segment = (kind == "interest" and name not in live_before
-                           and entry is not None and name.parent() in pending_before)
-        assert [new_drops == 1, aggregated, pending_segment].count(True) == 1, (step, op)
+        fetch_wait = (kind == "interest" and name not in live_before and entry is not None
+                      and gateway and name in gw.waiting.get(name.parent(), ()))
+        assert [new_drops == 1, aggregated, fetch_wait].count(True) == 1, (step, op)
         assert new_drops <= 1, (step, op)
 
 
