@@ -172,8 +172,8 @@ class Forwarder:
     def __init__(self, cs_capacity_bytes: int = 0):
         self.cs = ContentStore(cs_capacity_bytes)
         self.pit: dict[Name, PitEntry] = {}
-        self._fib: dict[Name, FibEntry] = {}
-        self._lpm_cache: dict[Name, FibEntry | None] = {}
+        self._fib: dict[tuple[bytes, ...], FibEntry] = {}  # keyed by prefix components
+        self._fib_depth = 0  # component count of the deepest prefix
         self.faces: dict[int, None] = {}
         self.counters = Counters()
 
@@ -192,11 +192,12 @@ class Forwarder:
                 raise UnknownFace(face)
             if cost < 0:
                 raise ValueError("fib cost must be >= 0")
-        self._fib[prefix] = FibEntry(prefix, sorted(next_hops, key=lambda h: (h[1], h[0])))
-        self._lpm_cache.clear()
+        self._fib[prefix.components] = FibEntry(
+            prefix, sorted(next_hops, key=lambda h: (h[1], h[0])))
+        self._fib_depth = max(self._fib_depth, len(prefix.components))
 
     def fib_add_next_hop(self, prefix: Name, face: int, cost: int):
-        e = self._fib.get(prefix)
+        e = self._fib.get(prefix.components)
         if e is None:
             self.fib_insert(prefix, [(face, cost)])
             return
@@ -204,27 +205,20 @@ class Forwarder:
             return
         e.next_hops.append((face, cost))
         e.next_hops.sort(key=lambda h: (h[1], h[0]))
-        self._lpm_cache.clear()
 
     def fib_entries(self) -> list[FibEntry]:
         return list(self._fib.values())
 
     def fib_longest_prefix_match(self, name: Name) -> FibEntry | None:
-        # Memoized per name; the memo is dropped on any FIB change. The
-        # pipeline reads the memo itself and calls this on a miss.
-        try:
-            return self._lpm_cache[name]
-        except KeyError:
-            pass
+        # No prefix is deeper than ``_fib_depth``, so longer ones are not
+        # probed. The pipeline probes that depth itself and calls this on a miss.
         comps = name.components
-        result = None
-        for k in range(len(comps), -1, -1):
-            e = self._fib.get(Name._unsafe(comps[:k]))
+        fib = self._fib
+        for k in range(min(len(comps), self._fib_depth), -1, -1):
+            e = fib.get(comps[:k])
             if e is not None:
-                result = e
-                break
-        self._lpm_cache[name] = result
-        return result
+                return e
+        return None
 
     # -- packet pipeline ---------------------------------------------------
 
@@ -262,9 +256,8 @@ class Forwarder:
         if entry is not None:
             entry.faces[face] = interest.nonce
             return []
-        try:
-            fe = self._lpm_cache[name]
-        except KeyError:
+        fe = self._fib.get(name.components[:self._fib_depth])  # if found, the longest match
+        if fe is None:
             fe = self.fib_longest_prefix_match(name)
         if fe is not None:
             for hop, _cost in fe.next_hops:
@@ -310,8 +303,6 @@ class Forwarder:
     def pit_expire(self, now: float) -> list[Name]:
         """Remove the entries past their deadline. Reads already treat them
         as absent, so this only reclaims memory."""
-        if not self.pit:
-            return []
         expired = [n for n, e in self.pit.items() if e.deadline <= now]
         for n in expired:
             del self.pit[n]

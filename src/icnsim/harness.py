@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable
 
 from . import metrics
-from .metrics import Sample
 from .ndn import Name
 from .orchestration import Orchestrator
 from .origin import synthesize_payload
@@ -35,7 +34,7 @@ class SimRun:
     net: Network
     orchestrator: Orchestrator
     records: list[RequestRecord]
-    samples: list[Sample]
+    samples: list[tuple]  # timeseries rows, in metrics.TIMESERIES_HEADER order
     final_ms: float
 
     @property
@@ -52,18 +51,22 @@ class SimRun:
 
 
 class _Sampler:
-    """Periodic meter snapshot: one row per (bucket, node) with the change
-    of the node's cumulative meters; a removed host gets one last row.
-    Expired PIT entries are reclaimed before each snapshot, so ``mem_bytes``
-    counts only live ones."""
+    """Periodic meter snapshot: one row per (bucket, node), a tuple in
+    ``metrics.TIMESERIES_HEADER`` order, with the change of the node's
+    cumulative meters; a removed host gets one last row. Hosts are visited
+    in node order, sorted again only when a host has been added
+    (``Network.all_hosts`` only grows). A host whose meters have not moved
+    takes a short row. Expired PIT entries are reclaimed before each
+    snapshot, so ``mem_bytes`` counts only live ones."""
 
-    def __init__(self, net: Network, bucket_ms: float, samples: list[Sample],
+    def __init__(self, net: Network, bucket_ms: float, samples: list[tuple],
                  live: Callable[[], bool]):
         self.net = net
         self.bucket_ms = bucket_ms
         self.samples = samples
         self.live = live
         self._last = 0.0
+        self._order: list[tuple[str, Host]] = []  # all_hosts in node order
         self._marks: dict[str, tuple[float, int, int]] = {}  # node -> (busy, rx, tx)
 
     def start(self):
@@ -72,18 +75,27 @@ class _Sampler:
     def _flush(self, now: float, width: float):
         start = now - width
         hosts = self.net.all_hosts
-        for node in sorted(hosts):
-            h = hosts[node]
-            if h.fwd is not None:
-                h.fwd.pit_expire(now)
-            meters = (h.busy_ms_total, h.counters.rx_bytes, h.counters.tx_bytes)
-            busy, rx, tx = self._marks.get(node, (0.0, 0, 0))
-            if node not in self.net.hosts and meters == (busy, rx, tx):
+        if len(hosts) != len(self._order):
+            self._order = sorted(hosts.items())
+            for node in hosts:
+                self._marks.setdefault(node, (0.0, 0, 0))
+        marks = self._marks
+        append = self.samples.append
+        for node, h in self._order:
+            fwd = h.fwd
+            if fwd is not None and fwd.pit:
+                fwd.pit_expire(now)
+            c = h.counters
+            meters = (h.busy_ms_total, c.rx_bytes, c.tx_bytes)
+            last = marks[node]
+            if meters == last:
+                if not h.removed:
+                    append((start, node, 0.0, h.mem_bytes(), 0, 0))
                 continue
-            self._marks[node] = meters
+            marks[node] = meters
+            busy, rx, tx = last
             util = min(1.0, (meters[0] - busy) / width) if width > 0 else 0.0
-            self.samples.append(Sample(start, node, util, h.mem_bytes(),
-                                       meters[1] - rx, meters[2] - tx))
+            append((start, node, util, h.mem_bytes(), meters[1] - rx, meters[2] - tx))
         self._last = now
 
     def _tick(self, now: float):
@@ -101,7 +113,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
     rng = random.Random(scenario.seed)
     net = Network(horizon_ms=knobs.horizon_ms)
     records: list[RequestRecord] = []
-    samples: list[Sample] = []
+    samples: list[tuple] = []
     rid_counter = itertools.count(0)
 
     for nd in scenario.nodes:

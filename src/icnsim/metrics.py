@@ -9,7 +9,6 @@ so equal runs produce byte-identical trees.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 from .simnet import Host, RequestRecord
@@ -21,16 +20,6 @@ NODE_COUNTERS_HEADER = ["node", "role", "rx_pkts", "tx_pkts", "rx_bytes", "tx_by
 TIMESERIES_HEADER = ["t_bucket_ms", "node", "cpu_util", "mem_bytes",
                      "link_in_bytes", "link_out_bytes"]
 PUBLISH_HEADER = ["size_bytes", "publish_ms"]
-
-
-@dataclass(slots=True)
-class Sample:
-    t_bucket_ms: float
-    node: str
-    cpu_util: float
-    mem_bytes: int
-    link_in_bytes: int
-    link_out_bytes: int
 
 
 def _fmt(x: float) -> str:
@@ -62,14 +51,14 @@ def write_node_counters_csv(path: Path, hosts: dict[str, Host]):
                         c.cs_hits, c.cs_misses, c.origin_fetches])
 
 
-def write_timeseries_csv(path: Path, samples: list[Sample]):
-    """Rows in the order sampled, which is ``(t_bucket_ms, node)`` order."""
+def write_timeseries_csv(path: Path, samples: list[tuple]):
+    """One row per sample tuple, in ``TIMESERIES_HEADER`` order, kept in the
+    order sampled, which is ``(t_bucket_ms, node)`` order."""
     with open(path, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(TIMESERIES_HEADER)
-        for s in samples:
-            w.writerow([_fmt(s.t_bucket_ms), s.node, _fmt(s.cpu_util), s.mem_bytes,
-                        s.link_in_bytes, s.link_out_bytes])
+        for t, node, util, mem, rx, tx in samples:
+            w.writerow([_fmt(t), node, _fmt(util), mem, rx, tx])
 
 
 def write_publish_csv(path: Path, rows: list[tuple[int, float]]):

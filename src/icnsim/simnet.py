@@ -100,7 +100,9 @@ class Network:
         self.all_hosts: dict[str, "Host"] = {}  # never pruned; keeps counters
         self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = itertools.count().__next__
-        self._route_cache: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+        # src -> (latency, first hop, outgoing link) per reachable destination
+        self._route_cache: dict[str, tuple[dict[str, float], dict[str, str],
+                                           dict[str, _LinkDir]]] = {}
         # (content_id, resolution, bytes, ms) per gateway publish
         self.publishes: list[tuple[str, str, int, float]] = []
         # digest -> the payload object an origin sends under it. The origin
@@ -198,12 +200,18 @@ class Network:
 
     # -- IP routing (shortest path by latency) ------------------------------
 
-    def _routes_from(self, src: str) -> tuple[dict[str, float], dict[str, str]]:
+    def _routes_from(self, src: str) -> tuple[dict[str, float], dict[str, str],
+                                              dict[str, _LinkDir]]:
+        """Shortest latencies, first hops and ``src``'s outgoing link for
+        each destination ``src`` reaches, computed once per topology: every
+        topology change clears the cache."""
         cached = self._route_cache.get(src)
         if cached is not None:
             return cached
         dist: dict[str, float] = {src: 0.0}
         first: dict[str, str] = {}
+        out: dict[str, _LinkDir] = {}
+        links = self.all_hosts[src].links
         counter = 0
         pq: list[tuple[float, str, int, str]] = [(0.0, src, 0, "")]
         done: set[str] = set()
@@ -214,15 +222,15 @@ class Network:
             done.add(node)
             if via:
                 first[node] = via
+                out[node] = links[via]
             for peer, link in self.all_hosts[node].links.items():
                 nd = d + link.latency_ms
                 if peer not in dist or nd < dist[peer]:
                     dist[peer] = nd
                     counter += 1
                     heappush(pq, (nd, peer, counter, via if via else peer))
-        out = (dist, first)
-        self._route_cache[src] = out
-        return out
+        routes = self._route_cache[src] = (dist, first, out)
+        return routes
 
     def shortest_latency(self, a: str, b: str) -> float:
         if a == b:
@@ -372,11 +380,14 @@ class Host:
     # -- IP side ---------------------------------------------------------------
 
     def send_ip(self, msg, nbytes: int):
-        link = self.links.get(self.net.next_hop(self.id, msg.dst))
+        """Send ``msg`` on the first link of the shortest path to its
+        destination, read from the route cache; no path drops it as no-route."""
+        net = self.net
+        link = (net._route_cache.get(self.id) or net._routes_from(self.id))[2].get(msg.dst)
         if link is None:
             self.counters.drop(DROP_NO_ROUTE)
         else:
-            self.net.send(link, nbytes, msg)
+            net.send(link, nbytes, msg)
 
     def _handle_ip(self, now: float, msg, nbytes: int):
         """Forward, serve, or answer a waiter: a response that arrives

@@ -85,8 +85,8 @@ def assert_timeseries_adds_up(run):
     """Each node's time-series byte columns sum to its cumulative counters."""
     rx = {node: 0 for node in run.hosts}
     tx = dict(rx)
-    for s in run.samples:
-        rx[s.node] += s.link_in_bytes
-        tx[s.node] += s.link_out_bytes
+    for _t, node, _util, _mem, link_in, link_out in run.samples:
+        rx[node] += link_in
+        tx[node] += link_out
     assert rx == {n: h.counters.rx_bytes for n, h in run.hosts.items()}
     assert tx == {n: h.counters.tx_bytes for n, h in run.hosts.items()}

@@ -57,8 +57,17 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # and a store insert at the gateway, while the ``_miss`` step (-8), the
 # PIT scan of ``_drain`` (-6) and the gateway's lookup helpers are gone),
 # and an origin recorded the digest of the object it sends, so that no IP
-# receiver hashes it again (-1 per distinct payload: 1 in each mode).
-FRAMES = {"icn": 407, "cdn-only": 410}
+# receiver hashes it again (-1 per distinct payload: 1 in each mode); 407
+# and 410 before the sampler built each row as a tuple rather than a
+# ``Sample`` (-1 per row sampled in the loop: 4 in each mode) and swept a
+# PIT only when it holds entries (-1 per empty PIT at a tick: 3 in icn, 1
+# in cdn-only), an IP hop read its outgoing link from the route cache
+# rather than through ``next_hop`` and ``_routes_from`` (-2 per hop on a
+# cached route, -1 on the hop that fills it: -68 over 36 hops in cdn-only,
+# -3 over 2 in icn), and the FIB was keyed by prefix components, so that a
+# lookup at the FIB's depth builds no prefix ``Name`` (icn -78: each of 6
+# memo misses built 4 prefix names and their intern-table entries).
+FRAMES = {"icn": 319, "cdn-only": 337}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))

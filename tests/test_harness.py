@@ -4,8 +4,9 @@ import json
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from icnsim import forwarder, ndn, origin, simnet
+from icnsim import forwarder, harness, ndn, origin, simnet
 from icnsim.harness import build_and_run, publish_bench, run_scenario
 from icnsim.ndn import Name
 from icnsim.origin import synthesize_payload
@@ -75,6 +76,54 @@ def test_timeseries_keeps_bucket_of_removed_hosts(mode):
     assert_timeseries_adds_up(run)
 
 
+def flush_oracle(self, now, width):
+    """``_Sampler._flush`` as a brute-force reference: it sorts every host
+    seen, sweeps every forwarder's PIT and meters every host afresh."""
+    start = now - width
+    hosts = self.net.all_hosts
+    for node in sorted(hosts):
+        h = hosts[node]
+        if h.fwd is not None:
+            h.fwd.pit_expire(now)
+        meters = (h.busy_ms_total, h.counters.rx_bytes, h.counters.tx_bytes)
+        busy, rx, tx = self._marks.get(node, (0.0, 0, 0))
+        if node not in self.net.hosts and meters == (busy, rx, tx):
+            continue
+        self._marks[node] = meters
+        util = min(1.0, (meters[0] - busy) / width) if width > 0 else 0.0
+        self.samples.append((start, node, util, h.mem_bytes(),
+                             meters[1] - rx, meters[2] - tx))
+    self._last = now
+
+
+# Mini variants where hosts leave (the ICN slice expires mid-run), where
+# PIT entries expire between ticks (short lifetime) and where a host joins
+# (scale-out on every window).
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["icn", "cdn-only"]), st.sampled_from([5, 13, 50, 100]),
+       st.sampled_from([6, 20, 4000]), st.one_of(st.none(), st.integers(10, 400)),
+       st.booleans(), st.integers(1, 12), st.sampled_from([0, 4, 10]))
+@example("icn", 5, 6, 40, True, 6, 10)
+@example("cdn-only", 5, 4000, 40, True, 6, 10)
+@example("icn", 13, 6, None, False, 12, 0)
+def test_sampler_rows_equal_brute_force_oracle(mode, bucket_ms, lifetime_ms, icn_ms,
+                                               scale, requests, interval_ms):
+    sets = ["mode=%s" % mode, "knobs.bucket_ms=%d" % bucket_ms,
+            "knobs.interest_lifetime_ms=%d" % lifetime_ms,
+            "populations.0.request_count=%d" % requests,
+            "populations.0.pattern.interval_ms=%d" % interval_ms]
+    if icn_ms is not None:
+        sets.append("northbound.2.duration_ms=%d" % icn_ms)
+    if scale:
+        sets += ["knobs.scale_threshold=0", "knobs.scale_window_ms=5"]
+    run = run_scenario(MINI, None, sets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness._Sampler, "_flush", flush_oracle)
+        want = run_scenario(MINI, None, sets)
+    assert run.samples == want.samples
+    assert len(run.samples) > 0
+
+
 @pytest.mark.parametrize("mode", ["icn", "cdn-only"])
 def test_samples_are_taken_in_bucket_and_node_order(mode):
     # timeseries.csv keeps the order samples are taken in. A scale-out adds
@@ -85,7 +134,7 @@ def test_samples_are_taken_in_bucket_and_node_order(mode):
                                     "northbound.2.duration_ms=40"])
     assert any("scale out" in line for line in run.orchestrator.log)
     assert "edge" not in run.net.hosts
-    keys = [(s.t_bucket_ms, s.node) for s in run.samples]
+    keys = [(t, node) for t, node, *_meters in run.samples]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -307,12 +356,13 @@ def test_mem_bytes_counts_only_live_pit_entries(monkeypatch):
                                     "knobs.bucket_ms=100"])
     client = run.hosts["client"].fwd
     times = [t for fwd, t in inserts if fwd is client]
-    rows = [s for s in run.samples if s.node == "client"]
-    sampled_at = [s.t_bucket_ms for s in rows[1:]] + [run.final_ms]
+    rows = [row for row in run.samples if row[1] == "client"]
+    sampled_at = [t for t, *_rest in rows[1:]] + [run.final_ms]
     assert times and len(rows) > 1
     for row, at in zip(rows, sampled_at):
+        _t, _node, _util, mem, _rx, _tx = row
         live = sum(1 for t in times if at - 8 < t <= at)
-        assert row.mem_bytes <= forwarder.PIT_ENTRY_MEM_BYTES * live, row
+        assert mem <= forwarder.PIT_ENTRY_MEM_BYTES * live, row
 
 
 TABLES = (dict, set, list, deque)
@@ -337,7 +387,8 @@ def element_count(value, levels: int = 1) -> int:
 def table_sizes(run) -> dict[tuple[str, str], int]:
     sizes = {}
     for node, host in run.hosts.items():
-        sizes[node, "forwarder"] = element_count(host.fwd)
+        for field, value in getattr(host.fwd, "__dict__", {}).items():
+            sizes[node, "fwd." + field] = element_count(value)
         sizes[node, "_ip_waiters"] = element_count(host._ip_waiters)
         if host.gateway is not None:
             sizes[node, "gateway.waiting"] = element_count(host.gateway.waiting)
@@ -360,3 +411,30 @@ def test_table_sizes_do_not_grow_with_run_length():
     assert [r.status for r in long.records] == ["ok"] * 60
     assert table_sizes(short) == table_sizes(long)
     assert live_names() == short_names
+
+
+def catalog_doc(contents: int, populations: int = 40) -> dict:
+    """Mini with ``contents`` contents of two segments each, and the same
+    ``populations`` at ``client``, one request each, spread over them."""
+    doc = load_mini_doc()
+    doc["contents"] = [{"content_id": "c%02d" % k, "size_bytes": 16384,
+                        "source_resolution": "720p", "resolutions": []}
+                       for k in range(contents)]
+    doc["northbound"][1:2] = [{"op": "upload", "slice": "c1", "content_id": "c%02d" % k}
+                              for k in range(contents)]
+    pop = doc["populations"][0]
+    doc["populations"] = [dict(pop, request_count=1, content="/cdn/c%02d/720p" % (j % contents))
+                          for j in range(populations)]
+    return doc
+
+
+def test_table_sizes_do_not_grow_with_catalog_size(tmp_path):
+    # The catalog may fill the content stores and the gateway's and the
+    # origin's own stores, which ``table_sizes`` leaves out; every other
+    # table is bound by live state, which is the same in both runs.
+    small = run_doc(catalog_doc(10), tmp_path, "small.json")
+    large = run_doc(catalog_doc(40), tmp_path, "large.json")
+    assert [r.status for r in large.records] == ["ok"] * 40
+    assert {r.content for r in large.records} > {r.content for r in small.records}
+    assert {k: v for k, v in table_sizes(small).items() if k[1] != "fwd.cs"} == \
+           {k: v for k, v in table_sizes(large).items() if k[1] != "fwd.cs"}

@@ -151,9 +151,20 @@ def test_route_cache_invalidated_on_topology_change():
         [("a", 0), ("b", 0), ("c", 0)],
         [("a", "b", 5.0, 100.0), ("b", "c", 7.0, 100.0)])
     assert net.next_hop("a", "c") == "b"
+    a = hosts["a"]
+    a.send_ip(IpRequest("a", "c", 0, "x", "r"), 512)  # fills a's routes
+    assert len(a.links["b"].in_flight) == 1
     net.remove_link("b", "c")
     assert net.next_hop("a", "c") is None
     assert net.shortest_latency("a", "c") == float("inf")
+    a.send_ip(IpRequest("a", "c", 1, "x", "r"), 512)
+    assert a.counters.drops == {"no-route": 1}
+    assert len(a.links["b"].in_flight) == 1
+    net.add_link("a", "c", 1.0, 100.0)
+    req = IpRequest("a", "c", 2, "x", "r")
+    a.send_ip(req, 512)
+    assert [msg for msg, _nbytes, _by in a.links["c"].in_flight] == [req]
+    assert a.counters.drops == {"no-route": 1}
 
 
 def test_wire_interest_without_forwarder_drops():
