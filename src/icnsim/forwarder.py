@@ -9,7 +9,6 @@ So a forwarder can be driven and tested without any network.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -56,93 +55,75 @@ class Counters:
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
 
-def _stale_from(inserted_at: float, freshness_ms: int) -> float:
-    """A time before which ``now - inserted_at >= freshness_ms`` is false.
-
-    For 0 <= inserted_at <= now, the rounded ``now - inserted_at`` is off
-    by at most half an ulp of ``now``, and the rounded sum
-    ``inserted_at + freshness_ms`` by half an ulp of itself. So the
-    predicate turns true no earlier than one ulp below the rounded sum,
-    and the bound leaves two.
-    """
-    s = inserted_at + freshness_ms
-    return s - 2.0 * math.ulp(s)
-
-
 @dataclass(slots=True)
 class CsEntry:
     data: Data
     inserted_at: float
-    stale_from: float  # _stale_from(inserted_at, data.freshness_ms)
 
 
 class ContentStore:
-    """Exact-name cache with freshness-first then LRU eviction.
+    """Exact-name cache: a store over capacity after an insert drops every
+    stale entry, then least recently used ones until it fits.
 
-    ``stale_from`` is a lower bound on the ``stale_from`` of every entry,
-    so eviction skips its scan for stale entries before that time. Times
-    passed to one store never decrease.
+    An entry is stale once ``now - inserted_at >= freshness_ms``. ``aging``
+    holds each entry's name in the queue of its freshness period, in
+    insertion order. Times passed to one store never decrease, so within
+    one queue insertion order is the order entries go stale: the stale
+    ones are the queue's head (NFD's priority-FIFO policy, NFD-TR-0021).
     """
 
-    __slots__ = ("capacity", "entries", "bytes", "stale_from")
+    __slots__ = ("capacity", "entries", "aging", "bytes")
 
     def __init__(self, capacity_bytes: int):
         self.capacity = capacity_bytes
         self.entries: OrderedDict[Name, CsEntry] = OrderedDict()
+        # OrderedDict, not dict: reading a dict's head after pops from its
+        # front walks the dead slots they leave.
+        self.aging: dict[int, OrderedDict[Name, None]] = {}
         self.bytes = 0
-        self.stale_from = math.inf
 
     def lookup(self, now: float, name: Name) -> Data | None:
         e = self.entries.get(name)
         if e is None:
             return None
         if now - e.inserted_at >= e.data.freshness_ms:
-            # Stale entries are never served; reclaim eagerly.
-            del self.entries[name]
-            self.bytes -= len(e.data.payload)
+            self._pop(name)  # stale entries are never served; reclaim eagerly
             return None
         self.entries.move_to_end(name)
         return e.data
 
     def insert(self, now: float, d: Data) -> tuple[bool, list[Name]]:
         size = len(d.payload)
-        if size > self.capacity:
+        if size > self.capacity or not self.capacity:
             return False, []
-        stale_from = _stale_from(now, d.freshness_ms)
-        old = self.entries.get(d.name)
-        if old is not None:
-            # Replace in place without double-counting; recency refreshed.
-            self.bytes += size - len(old.data.payload)
-            old.data = d
-            old.inserted_at = now
-            old.stale_from = stale_from
-            self.stale_from = min(self.stale_from, stale_from)
-            self.entries.move_to_end(d.name)
-            return True, self._evict(now, [])
-        evicted = self._evict(now, [], incoming=size)
-        self.entries[d.name] = CsEntry(d, now, stale_from)
-        self.stale_from = min(self.stale_from, stale_from)
+        name = d.name
+        if name in self.entries:
+            self._pop(name)  # a replacement, not an eviction
+        self.entries[name] = CsEntry(d, now)
+        queue = self.aging.get(d.freshness_ms)
+        if queue is None:
+            queue = self.aging[d.freshness_ms] = OrderedDict()
+        queue[name] = None
         self.bytes += size
+        evicted = []
+        if self.bytes > self.capacity:
+            for freshness, queue in self.aging.items():
+                while queue:
+                    head = next(iter(queue))
+                    if now - self.entries[head].inserted_at < freshness:
+                        break
+                    self._pop(head)
+                    evicted.append(head)
+            while self.bytes > self.capacity:
+                head = next(iter(self.entries))
+                self._pop(head)
+                evicted.append(head)
         return True, evicted
 
-    def _evict(self, now: float, evicted: list[Name], incoming: int = 0) -> list[Name]:
-        if self.bytes + incoming <= self.capacity:
-            return evicted
-        if now >= self.stale_from:
-            for name in [n for n, e in self.entries.items()
-                         if now - e.inserted_at >= e.data.freshness_ms]:
-                e = self.entries.pop(name)
-                self.bytes -= len(e.data.payload)
-                evicted.append(name)
-                if self.bytes + incoming <= self.capacity:
-                    break
-            self.stale_from = min((e.stale_from for e in self.entries.values()),
-                                  default=math.inf)
-        while self.bytes + incoming > self.capacity and self.entries:
-            name, e = self.entries.popitem(last=False)
-            self.bytes -= len(e.data.payload)
-            evicted.append(name)
-        return evicted
+    def _pop(self, name: Name):
+        d = self.entries.pop(name).data
+        del self.aging[d.freshness_ms][name]
+        self.bytes -= len(d.payload)
 
     def __len__(self) -> int:
         return len(self.entries)

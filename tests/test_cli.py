@@ -188,6 +188,18 @@ def test_run_population_outliving_its_slice_fails_its_requests(tmp_path, capsys)
     assert len(edge) == 1 and " cs_misses=2 " in edge[0] and edge[0].endswith(" drops=-")
 
 
+def test_run_zero_capacity_store_caches_no_empty_data(tmp_path, capsys):
+    # Node client has cs_capacity_bytes 0, so it caches nothing, not even
+    # the 0-byte segment of an empty content.
+    out = tmp_path / "out"
+    assert main(["run", str(MINI), "--out", str(out), "--set", "contents.0.size_bytes=0"]) == 0
+    rows = [r.split(",") for r in (out / "requests.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6 and all(r[9] == "ok" and r[8] != "client" for r in rows)
+    client = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("node=client ")]
+    assert len(client) == 1 and " cs_hits=0 " in client[0]
+
+
 def test_run_cdn_only_mode_schema_identical(tmp_path):
     a, b = tmp_path / "icn", tmp_path / "cdn"
     assert main(["run", str(MINI), "--out", str(a)]) == 0

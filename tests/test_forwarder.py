@@ -263,6 +263,28 @@ def test_cs_stale_evicted_before_fresh_lru():
     assert f2.cs.lookup(200.0, fresh.name) is not None
 
 
+def test_cs_overflow_drops_every_stale_entry():
+    f = Forwarder(3000)
+    a, b = (make_data(Name.parse("/%s/seg=0" % n), b"x" * 1000, 100, 0) for n in "ab")
+    c, d = (make_data(Name.parse("/%s/seg=0" % n), b"x" * 1000, FRESH, 0) for n in "cd")
+    for x in (a, b, c):
+        f.cs.insert(0.0, x)
+    # Dropping a alone would make room; b is stale too and goes with it.
+    admitted, evicted = f.cs.insert(200.0, d)
+    assert admitted and sorted(evicted) == sorted([a.name, b.name])
+    assert list(f.cs.entries) == [c.name, d.name] and f.cs.bytes == 2000
+
+
+def test_cs_insert_of_already_stale_data_evicts_no_fresh_entry():
+    f = Forwarder(2000)
+    a, b = (make_data(Name.parse("/%s/seg=0" % n), b"x" * 1000, FRESH, 0) for n in "ab")
+    f.cs.insert(0.0, a)
+    f.cs.insert(0.0, b)
+    z = make_data(Name.parse("/z/seg=0"), b"z" * 1000, 0, 0)  # stale from its insert
+    assert f.cs.insert(1.0, z) == (True, [z.name])
+    assert list(f.cs.entries) == [a.name, b.name] and f.cs.bytes == 2000
+
+
 def test_cs_stale_never_returned_by_lookup():
     f = Forwarder(1 << 20)
     d = make_data(V0, b"p", 100, 0)
@@ -299,8 +321,9 @@ def test_cs_capacity_never_exceeded_random_ops():
 
 
 class ScanningStore:
-    """The content store without the skip rule: every eviction scans all
-    entries for stale ones, then evicts least recently used."""
+    """The content store as a brute-force scan: an insert or a replacement
+    goes to the most-recently-used end; then, if over capacity, every
+    stale entry is dropped, then least recently used ones until it fits."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -320,33 +343,23 @@ class ScanningStore:
 
     def insert(self, now, d):
         size = len(d.payload)
-        if size > self.capacity:
+        if size > self.capacity or not self.capacity:
             return False, []
-        old = self.entries.get(d.name)
+        old = self.entries.pop(d.name, None)
         if old is not None:
-            self.bytes += size - len(old[0].payload)
-            self.entries[d.name] = (d, now)
-            self.entries.move_to_end(d.name)
-            return True, self._evict(now, 0)
-        evicted = self._evict(now, size)
+            self.bytes -= len(old[0].payload)
         self.entries[d.name] = (d, now)
         self.bytes += size
-        return True, evicted
-
-    def _evict(self, now, incoming):
         evicted = []
-        if self.bytes + incoming <= self.capacity:
-            return evicted
-        for name in [n for n, (d, at) in self.entries.items() if now - at >= d.freshness_ms]:
-            self.bytes -= len(self.entries.pop(name)[0].payload)
-            evicted.append(name)
-            if self.bytes + incoming <= self.capacity:
-                return evicted
-        while self.bytes + incoming > self.capacity and self.entries:
+        if self.bytes > self.capacity:
+            for name in [n for n, (d, at) in self.entries.items() if now - at >= d.freshness_ms]:
+                self.bytes -= len(self.entries.pop(name)[0].payload)
+                evicted.append(name)
+        while self.bytes > self.capacity:
             name, (d, _at) = self.entries.popitem(last=False)
             self.bytes -= len(d.payload)
             evicted.append(name)
-        return evicted
+        return True, evicted
 
 
 BIG = 3_600_000
@@ -364,13 +377,13 @@ _cs_ops = st.lists(st.one_of(
 
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(_cs_ops)
-# An eviction that leaves a stale entry behind.
+# An overflow with more stale entries than it needs to make room.
 @example([("insert", 0, 1, 0), ("insert", 1, 1, BIG), ("insert", 2, 1, 0), ("wait", 1.0),
           ("insert", 3, 1, BIG), ("wait", 1.0), ("insert", 4, 1, BIG)])
-# An in-place replace that shortens freshness.
+# A replacement that shortens freshness, moving its name to another queue.
 @example([("insert", 0, 1, BIG), ("insert", 1, 1, BIG), ("wait", 1.0), ("insert", 1, 1, 0),
           ("insert", 2, 1, BIG), ("wait", 1.0), ("insert", 3, 1, BIG)])
-# A new entry inserted by an eviction that scanned.
+# Overflows that drop stale entries from two freshness queues.
 @example([("insert", 0, 1, 0), ("insert", 1, 1, BIG), ("insert", 2, 1, BIG), ("wait", 1.0),
           ("insert", 3, 1, 1), ("wait", 1.0), ("wait", 1.0), ("insert", 4, 1, BIG)])
 # Stale at 3.6999999999999997 ms, below the float sum 0.7 + 3 = 3.7.
@@ -383,7 +396,9 @@ def test_cs_insert_matches_a_store_that_always_scans(ops):
     for op in ops:
         if op[0] == "insert":
             d = make_data(CS_NAMES[op[1]], bytes(op[2] * 1000), op[3], 0)
-            assert store.insert(now, d) == ref.insert(now, d)
+            (admitted, evicted), (ref_admitted, ref_evicted) = store.insert(now, d), ref.insert(now, d)
+            # The order among stale evictions is not specified.
+            assert (admitted, sorted(evicted)) == (ref_admitted, sorted(ref_evicted))
         elif op[0] == "lookup":
             assert store.lookup(now, CS_NAMES[op[1]]) == ref.lookup(now, CS_NAMES[op[1]])
         elif op[0] == "wait":
@@ -394,6 +409,7 @@ def test_cs_insert_matches_a_store_that_always_scans(ops):
         assert [(n, e.data, e.inserted_at) for n, e in store.entries.items()] == [
             (n, d, at) for n, (d, at) in ref.entries.items()]
         assert store.bytes == ref.bytes
+        assert sorted(n for q in store.aging.values() for n in q) == sorted(store.entries)
 
 
 # -- FIB ------------------------------------------------------------------------

@@ -66,8 +66,11 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # cached route, -1 on the hop that fills it: -68 over 36 hops in cdn-only,
 # -3 over 2 in icn), and the FIB was keyed by prefix components, so that a
 # lookup at the FIB's depth builds no prefix ``Name`` (icn -78: each of 6
-# memo misses built 4 prefix names and their intern-table entries).
-FRAMES = {"icn": 319, "cdn-only": 337}
+# memo misses built 4 prefix names and their intern-table entries); 319 in
+# icn before the content store found stale entries through its per-freshness
+# queues, so that an insert no longer calls ``_stale_from`` and ``_evict``
+# (-2 per insert at a node with capacity: 4 in icn).
+FRAMES = {"icn": 311, "cdn-only": 337}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
