@@ -89,6 +89,7 @@ class Gateway:
         self.waiting[base] = {name: None}
         rid = host.next_request_id()
         host.counters.origin_fetches += 1
+        host.net.open_work += 1  # closed in ``_fetched``
         host.send_ip(IpRequest(host.id, self.origin_node, rid, *served), IP_REQUEST_BYTES)
         # The waiter is written here, not through ``await_ip_response``,
         # which registers consumers.
@@ -106,6 +107,7 @@ class Gateway:
         else:
             actions = self._end(now, base)
         host._emit(now, actions, host.id)
+        host.net.close_work()
 
     def publish_content_to_icn(self, now: float, base: Name,
                                payload: bytes) -> tuple[int, list[Action]]:

@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import metrics
 from .ndn import Name
@@ -59,18 +58,16 @@ class _Sampler:
     takes a short row. Expired PIT entries are reclaimed before each
     snapshot, so ``mem_bytes`` counts only live ones."""
 
-    def __init__(self, net: Network, bucket_ms: float, samples: list[tuple],
-                 live: Callable[[], bool]):
+    def __init__(self, net: Network, bucket_ms: float, samples: list[tuple]):
         self.net = net
         self.bucket_ms = bucket_ms
         self.samples = samples
-        self.live = live
         self._last = 0.0
         self._order: list[tuple[str, Host]] = []  # all_hosts in node order
         self._marks: dict[str, tuple[float, int, int]] = {}  # node -> (busy, rx, tx)
 
     def start(self):
-        self.net.schedule(self.bucket_ms, self._tick, real=False)
+        self.net.schedule(self.bucket_ms, self._tick)
 
     def _flush(self, now: float, width: float):
         start = now - width
@@ -100,8 +97,7 @@ class _Sampler:
 
     def _tick(self, now: float):
         self._flush(now, self.bucket_ms)
-        if self.live():
-            self.net.schedule(now + self.bucket_ms, self._tick, real=False)
+        self.net.schedule(now + self.bucket_ms, self._tick)
 
     def final_flush(self, now: float):
         if now > self._last:
@@ -149,7 +145,7 @@ def build_and_run(scenario: Scenario) -> SimRun:
                 if sid in orch.slices:
                     orch.destroy_slice(sid)
 
-            net.schedule(op["spec"].duration_ms, expire, real=False)
+            net.schedule(op["spec"].duration_ms, expire)
             flush_links()
         elif kind == "upload":
             cd = contents[op["content_id"]]
@@ -168,7 +164,6 @@ def build_and_run(scenario: Scenario) -> SimRun:
         elif kind == "destroy":
             orch.destroy_slice(slices.pop(op["slice"]))
 
-    populations = []
     for p in scenario.populations:
         host = net.hosts[p.attach_node]
         if scenario.mode == "cdn-only":
@@ -186,29 +181,21 @@ def build_and_run(scenario: Scenario) -> SimRun:
                              rid_counter, window=knobs.window,
                              lifetime_ms=knobs.interest_lifetime_ms,
                              max_attempts=knobs.retransmit_max)
-        populations.append(pop)
+        pop.start()
 
-    def live() -> bool:
-        """Traffic is in flight or a population has requests left; the
-        periodic ticks reschedule themselves only while this holds."""
-        return net.active() or any(not p.finished() for p in populations)
-
-    sampler = _Sampler(net, knobs.bucket_ms, samples, live)
+    sampler = _Sampler(net, knobs.bucket_ms, samples)
 
     def scale_tick(now):
         for sid in list(orch.slices):
             inst = orch.scale_check(sid, now)
             if inst is not None:
                 orch.handle_scale(sid, inst)
-        if live():
-            net.schedule(now + knobs.scale_window_ms, scale_tick, real=False)
+        net.schedule(now + knobs.scale_window_ms, scale_tick)
 
-    for pop in populations:
-        pop.start()
     sampler.start()
-    net.schedule(knobs.scale_window_ms, scale_tick, real=False)
+    net.schedule(knobs.scale_window_ms, scale_tick)
 
-    final = net.run_to_completion()
+    final = net.run_to_completion() if net.open_work else 0.0  # no request: ends at 0
     sampler.final_flush(final)
     return SimRun(scenario, net, orch, records, samples, final)
 
@@ -274,8 +261,9 @@ def _bench_one(path: str, size_bytes: int, sets: list[str]) -> tuple[int, float]
     if not any(op["op"] == "link" for op in scenario.northbound):
         raise ScenarioError([Diagnostic("invariant", "northbound",
                                         "publish-bench needs a link op (gateway + origin)")])
-    # One request for the source-resolution content is enough to trigger
-    # the fetch; the publish time is measured at the gateway.
+    # One request for the source-resolution content triggers the fetch; it
+    # retransmits no sooner than the fetch times out, so it lives until its
+    # interest reaches the gateway. The publish time is measured there.
     cd = scenario.contents[0]
     first = scenario.populations[0]
     prefix = next(Name.parse(op["prefix"]) for op in scenario.northbound
@@ -284,7 +272,8 @@ def _bench_one(path: str, size_bytes: int, sets: list[str]) -> tuple[int, float]
                                       cd.source_resolution.encode()))
     scenario.populations = [PopulationDef(
         first.region, first.attach_node, 1, cname, ("uniform", 0.0),
-        first.retransmit_ms, cd.content_id, cd.source_resolution, size_bytes)]
+        max(first.retransmit_ms, scenario.knobs.origin_timeout_ms), cd.content_id,
+        cd.source_resolution, size_bytes)]
     run = build_and_run(scenario)
     for cid, res, size, ms in run.publishes:
         if cid == cd.content_id and res == cd.source_resolution:

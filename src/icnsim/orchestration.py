@@ -4,8 +4,8 @@ The orchestrator owns per-domain VIMs (quota accountants), creates and
 destroys CDN/ICN slices atomically, links a CDN slice to an ICN slice by
 selecting one NDN node and attaching the gateway producer to it, and
 applies a threshold scale-out policy from VNF usage reports.
-``slice_faults`` holds every slice rule, shared with the static scenario
-validator.
+``slice_faults`` and ``link_fault`` hold every slice and link rule, shared
+with the static scenario validator.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ AT_LEAST_1 = (1, None, False)
 NON_NEGATIVE = (0, None, False)
 POSITIVE = (0, None, True)
 UNIT = (0, 1, False)
-# A periodic tick reschedules itself at now + period until the run's last
-# request ends, so a tiny period never ends in useful time.
+# A periodic tick reschedules itself at now + period until the run ends,
+# so a tiny period never ends in useful time.
 PERIOD_MS = (0.5, None, False)
 
 
@@ -180,6 +180,14 @@ def slice_faults(spec: SliceSpec, domains, taken) -> list[tuple[str, str, str]]:
     return faults
 
 
+def link_fault(linked: tuple | None, link: tuple) -> str | None:
+    """Why an ICN slice linked as ``linked``, a (CDN slice, prefix) pair or
+    None, cannot be linked as ``link``: its gateway serves one CDN slice
+    under one prefix, though the same link may be made again."""
+    if linked not in (None, link):
+        return "ICN slice is already linked to another CDN slice or prefix"
+
+
 def allocate_all(vims: dict[str, Vim], vnfs: list[VnfSpec]) -> list[Allocation]:
     """One allocation per vnf, or none: QuotaExceeded releases the partial set."""
     allocs: list[Allocation] = []
@@ -210,8 +218,7 @@ class SliceState:
     instances: list[VnfInstance]
     origin: CdnOrigin | None = None
     gateway_node: str | None = None
-    linked_cdn: int | None = None
-    prefix: Name | None = None  # content prefix of the link, on the ICN slice
+    link: tuple[int, Name] | None = None  # on the ICN slice: (CDN slice id, prefix)
 
 
 class Orchestrator:
@@ -331,6 +338,9 @@ class Orchestrator:
         """
         self._cdn(cdn_sid)
         icn = self._live(icn_sid)
+        fault = link_fault(icn.link, (cdn_sid, prefix))
+        if fault is not None:
+            raise ValueError(fault)
         serve = self.serving_node(cdn_sid)
         cands = [inst for inst in icn.instances if inst.host.fwd is not None]
         if not cands:
@@ -354,8 +364,7 @@ class Orchestrator:
                                       k.origin_timeout_ms)
         gw_host.fwd.fib_insert(prefix, [(gw_host.gateway.face, 0)])
         icn.gateway_node = gw_node
-        icn.linked_cdn = cdn_sid
-        icn.prefix = prefix
+        icn.link = (cdn_sid, prefix)
         self._configure_gateways(cdn_sid)
         self._install_routes(prefix, gw_node)
         self.log.append("%.3f ms: link: slice %d -> slice %d via gateway %s"
@@ -368,11 +377,12 @@ class Orchestrator:
         cdn = self.slices[cdn_sid]
         serve = self.serving_node(cdn_sid)
         for icn in self.slices.values():
-            if icn.linked_cdn != cdn_sid:
+            if icn.link is None or icn.link[0] != cdn_sid:
                 continue
+            prefix = icn.link[1].components
             prefix_map = {}
             for content_id, resolution in cdn.origin.catalog():
-                base = Name(icn.prefix.components + (content_id.encode(), resolution.encode()))
+                base = Name(prefix + (content_id.encode(), resolution.encode()))
                 prefix_map[base] = (content_id, resolution)
             self.net.hosts[icn.gateway_node].gateway.configure_origin(serve, prefix_map)
 
@@ -381,7 +391,7 @@ class Orchestrator:
         for host in self.net.hosts.values():
             if host.fwd is None or host.id == gw_node or host.origin is not None:
                 continue
-            link = host.links.get(self.net.next_hop(host.id, gw_node))
+            link = self.net._routes_from(host.id)[1].get(gw_node)
             if link is None:
                 continue
             cost = int(round(self.net.shortest_latency(host.id, gw_node)))

@@ -20,7 +20,7 @@ from pathlib import Path
 from .ndn import MalformedUri, Name
 from .orchestration import (AT_LEAST_1, NON_NEGATIVE, PERIOD_MS, POSITIVE, UNIT, DomainSpec,
                             Flavor, Knobs, QuotaExceeded, SliceSpec, Vim, VnfSpec,
-                            allocate_all, slice_faults)
+                            allocate_all, link_fault, slice_faults)
 
 
 @dataclass(slots=True)
@@ -368,11 +368,12 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
     # Northbound: check slices, replay quotas, collect what exists.
     northbound: list[dict] = []
     slice_labels: dict[str, str] = {}  # label -> kind
+    made_at: dict[str, str] = {}  # label -> path of the op that made its slice
+    links_of: dict[str, tuple[str, Name]] = {}  # ICN slice -> (CDN slice, prefix), by made_at
     slice_allocs: dict[str, list] = {}
     vims = {d.name: Vim(d) for d in domains}
     produced: set[tuple[str, str]] = set()  # (content_id, resolution)
     seen_links: set[tuple[str, str]] = set()  # linked node pairs, (low, high)
-    link_prefixes: list[Name] = []
     for path, op in _items(top["northbound"], "northbound"):
         kind = op["op"]
         if kind in ("create_cdn_slice", "create_icn_slice"):
@@ -403,6 +404,7 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                     fault("QuotaExceeded", path,
                           "domain %r cannot fit slice %r" % (e.domain, label))
             slice_labels[label] = skind
+            made_at[label] = path
         elif kind in ("upload", "transcode"):
             label, cid, tag = op["slice"], op["content_id"], op.get("tag")
             if label is not None and slice_labels.get(label) != "CDN":
@@ -424,9 +426,15 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
                     fault("bad-reference", path + "." + key,
                           "link needs an existing %s slice" % skind)
             try:
-                link_prefixes.append(Name.parse(op["prefix"]))
+                prefix = Name.parse(op["prefix"])
             except MalformedUri as e:
                 fault("bad-value", path + ".prefix", str(e))
+            else:
+                if slice_labels.get(op["cdn"]) == "CDN" and slice_labels.get(op["icn"]) == "ICN":
+                    icn, link = made_at[op["icn"]], (made_at[op["cdn"]], prefix)
+                    problem = link_fault(links_of.setdefault(icn, link), link)
+                    if problem:
+                        fault("invariant", path, problem)
         elif kind == "destroy":
             label = op["slice"]
             if label is not None and label not in slice_labels:
@@ -474,8 +482,8 @@ def parse_doc(doc: dict, name: str = "scenario") -> tuple[Scenario | None, list[
             problem = "resolution %r not declared for %r" % (resolution, cid)
         elif (cid, resolution) not in produced:
             problem = "no upload or transcode produces %r at %r" % (cid, resolution)
-        elif top["mode"] == "icn" and link_prefixes and not any(
-                pref.is_prefix_of(cname) for pref in link_prefixes):
+        elif top["mode"] == "icn" and links_of and not any(
+                pref.is_prefix_of(cname) for _, pref in links_of.values()):
             problem = "content name is not under any linked prefix"
         else:
             populations.append(PopulationDef(

@@ -39,7 +39,7 @@ class HorizonExceeded(RuntimeError):
 class Event:
     """A scheduled call; ``Network.schedule`` is its one constructor."""
 
-    __slots__ = ("fn", "real", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
 
 class _LinkDir:
@@ -96,13 +96,14 @@ class Network:
     def __init__(self, horizon_ms: float | None = None):
         self.now = 0.0
         self.horizon_ms = horizon_ms
+        self.open_work = 0  # requests not yet ended, arrived or not, and fetches under way
+        self.ended = False  # set by the event that closes the last unit of open work
         self.hosts: dict[str, "Host"] = {}
         self.all_hosts: dict[str, "Host"] = {}  # never pruned; keeps counters
         self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = itertools.count().__next__
-        # src -> (latency, first hop, outgoing link) per reachable destination
-        self._route_cache: dict[str, tuple[dict[str, float], dict[str, str],
-                                           dict[str, _LinkDir]]] = {}
+        # src -> (latency, outgoing link) per reachable destination
+        self._route_cache: dict[str, tuple[dict[str, float], dict[str, _LinkDir]]] = {}
         # (content_id, resolution, bytes, ms) per gateway publish
         self.publishes: list[tuple[str, str, int, float]] = []
         # digest -> the payload object an origin sends under it. The origin
@@ -112,12 +113,11 @@ class Network:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, at: float, fn, real: bool = True) -> Event:
+    def schedule(self, at: float, fn) -> Event:
         if at < self.now:
             at = self.now
         ev = object.__new__(Event)
         ev.fn = fn
-        ev.real = real
         ev.cancelled = False
         heappush(self._heap, (at, self._next_seq(), ev))
         return ev
@@ -125,20 +125,17 @@ class Network:
     def cancel(self, ev: Event):
         ev.cancelled = True
 
-    def active(self) -> bool:
-        """True while real (non-housekeeping) events are still pending.
-
-        A scan that stops at the first such event: the housekeeping ticks
-        that ask are few, and nearly every pending event is real."""
-        for _at, _seq, ev in self._heap:
-            if ev.real and not ev.cancelled:
-                return True
-        return False
+    def close_work(self):
+        """Close one unit of open work; the last ends the run after this event."""
+        self.open_work -= 1
+        if not self.open_work:
+            self.ended = True
 
     def run_to_completion(self) -> float:
+        """Run events in (time, seq) order until none is left or the run ends."""
         heap = self._heap
         horizon = INFINITY if self.horizon_ms is None else self.horizon_ms
-        while heap:
+        while heap and not self.ended:
             at, _seq, ev = heappop(heap)
             if ev.cancelled:
                 continue
@@ -200,16 +197,14 @@ class Network:
 
     # -- IP routing (shortest path by latency) ------------------------------
 
-    def _routes_from(self, src: str) -> tuple[dict[str, float], dict[str, str],
-                                              dict[str, _LinkDir]]:
-        """Shortest latencies, first hops and ``src``'s outgoing link for
-        each destination ``src`` reaches, computed once per topology: every
-        topology change clears the cache."""
+    def _routes_from(self, src: str) -> tuple[dict[str, float], dict[str, _LinkDir]]:
+        """Shortest latencies and ``src``'s outgoing link, the first hop of
+        a shortest path, for each destination ``src`` reaches, computed once
+        per topology: every topology change clears the cache."""
         cached = self._route_cache.get(src)
         if cached is not None:
             return cached
         dist: dict[str, float] = {src: 0.0}
-        first: dict[str, str] = {}
         out: dict[str, _LinkDir] = {}
         links = self.all_hosts[src].links
         counter = 0
@@ -221,7 +216,6 @@ class Network:
                 continue
             done.add(node)
             if via:
-                first[node] = via
                 out[node] = links[via]
             for peer, link in self.all_hosts[node].links.items():
                 nd = d + link.latency_ms
@@ -229,18 +223,13 @@ class Network:
                     dist[peer] = nd
                     counter += 1
                     heappush(pq, (nd, peer, counter, via if via else peer))
-        routes = self._route_cache[src] = (dist, first, out)
+        routes = self._route_cache[src] = (dist, out)
         return routes
 
     def shortest_latency(self, a: str, b: str) -> float:
         if a == b:
             return 0.0
         return self._routes_from(a)[0].get(b, INFINITY)
-
-    def next_hop(self, a: str, b: str) -> str | None:
-        if a == b:
-            return None
-        return self._routes_from(a)[1].get(b)
 
     # -- transmission --------------------------------------------------------
 
@@ -383,7 +372,7 @@ class Host:
         """Send ``msg`` on the first link of the shortest path to its
         destination, read from the route cache; no path drops it as no-route."""
         net = self.net
-        link = (net._route_cache.get(self.id) or net._routes_from(self.id))[2].get(msg.dst)
+        link = (net._route_cache.get(self.id) or net._routes_from(self.id))[1].get(msg.dst)
         if link is None:
             self.counters.drop(DROP_NO_ROUTE)
         else:
@@ -471,9 +460,10 @@ class _Outstanding:
 class _Consumers:
     """One region's consumers attached at a node, requesting one content.
 
-    The base schedules arrivals, counts issued and active requests and
-    writes the request records; a request that arrives after the host was
-    removed fails at once. A subclass fetches each other request in
+    The base opens a unit of the network's work per request, schedules
+    arrivals, counts issued and active requests and writes the request
+    records, each closing its unit; a request that arrives after the host
+    was removed fails at once. A subclass fetches each other request in
     ``_begin`` and ends it through ``_record``.
     """
 
@@ -492,6 +482,7 @@ class _Consumers:
         self.rid_counter = rid_counter
         self.issued = 0
         self.active = 0
+        net.open_work += request_count
 
     def start(self):
         if self.request_count > 0:
@@ -526,9 +517,7 @@ class _Consumers:
         self.records.append(RequestRecord(
             rid, self.region, self.host.id, self.content_uri, self.resolution,
             t_issue, now, now - t_issue, served_by, status, nbytes, attempts))
-
-    def finished(self) -> bool:
-        return self.issued >= self.request_count and self.active == 0
+        self.net.close_work()
 
 
 class Population(_Consumers):
@@ -654,7 +643,7 @@ class Population(_Consumers):
     def _ensure_watchdog(self, now: float):
         if not self._watchdog_on:
             self._watchdog_on = True
-            self.net.schedule(now + self.retransmit_ms, self._watchdog, real=False)
+            self.net.schedule(now + self.retransmit_ms, self._watchdog)
 
     def _watchdog(self, now: float):
         removed = self.host.removed  # if so, every waiting request fails and this stops
@@ -681,7 +670,7 @@ class Population(_Consumers):
                 req.attempts = max(req.attempts, entry.attempts)
             self._issue_interest(name)
         if not removed and (self.active > 0 or self.issued < self.request_count):
-            self.net.schedule(now + self.retransmit_ms, self._watchdog, real=False)
+            self.net.schedule(now + self.retransmit_ms, self._watchdog)
         else:
             self._watchdog_on = False
 

@@ -68,9 +68,8 @@ def test_zero_request_population_produces_no_records():
     net, hosts = build_chain([("a", 0), ("b", 1 << 20)], [("a", "b", 1.0, 100.0)])
     pop, records = make_population(net, hosts["a"], 1, count=0)
     pop.start()
-    net.run_to_completion()
+    assert net.run_to_completion() == 0.0
     assert records == []
-    assert pop.finished()
 
 
 def test_multi_segment_window_and_byte_conservation():

@@ -69,8 +69,13 @@ PATHCOUNT = ROOT / "tools" / "pathcount.py"
 # memo misses built 4 prefix names and their intern-table entries); 319 in
 # icn before the content store found stale entries through its per-freshness
 # queues, so that an insert no longer calls ``_stale_from`` and ``_evict``
-# (-2 per insert at a node with capacity: 4 in icn).
-FRAMES = {"icn": 311, "cdn-only": 337}
+# (-2 per insert at a node with capacity: 4 in icn); 311 and 337 before a
+# run came to end at the event that ends its last request or origin fetch
+# (+1 ``close_work`` per request and per fetch: 7 in icn, 6 in cdn-only),
+# so that the sampler tick at 1,000 ms, the scale tick at 10,000 ms and the
+# two slice expiries at 600,000 ms are no longer simulated and no tick asks
+# a ``live`` predicate (-47 in icn, -44 in cdn-only).
+FRAMES = {"icn": 271, "cdn-only": 299}
 
 def frames(mode: str, hashseed: str) -> int:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))

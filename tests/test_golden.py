@@ -20,18 +20,22 @@ from conftest import MINI
 # The icn node_counters, timeseries and summary digests moved when the
 # gateway became a producer on a face: its answers count as content-store
 # misses at its node and enter that node's store, which mem_bytes counts.
+# Every timeseries and summary digest here and in ``GOLDEN_POISSON`` moved
+# when a run came to end at the event that ends its last request or origin
+# fetch rather than at the slice expiry (600,000 ms): ``final_time_ms`` is
+# that time, and the last timeseries rows are the partial bucket up to it.
 GOLDEN = {
     "icn": {
         "requests.csv": "5cfe8b11694fcef0e672a992c1c9e4f0e0053f2c6e8b17109a574b68120e6239",
         "node_counters.csv": "3a3d60d0bdd63f60c5d29520f7c4f7cef6c3add1fc0fb51830bde417020be8e4",
-        "timeseries.csv": "d49fd1b05f21b0557f74013f5c220d5987a70bbf86b0b923654118a44ad54b1d",
-        "summary.txt": "b77898f267a8d25aecfc25418f1b67c1202d9c8147e37b33d5c13a6257d37342",
+        "timeseries.csv": "d6c59fa6ebe213a242561fd48e3981eaa6e0a7c8f7749bdf3fafc74c85ddf921",
+        "summary.txt": "6746cde1f4808d2f60f939d837453622a977a6958214385f5ea3ccfae287dab0",
     },
     "cdn-only": {
         "requests.csv": "da2a7133f55abe8a101197ffe3c0690077dedb593baabcef217c10892b29e216",
         "node_counters.csv": "0fce25f3fed19b0fd29b82a3cd7628f22ce8fef5004ae73e3ecd36c1fd1a0080",
-        "timeseries.csv": "4a5837a4bdd064a9e77e1031884c9278a267d43cad1ae7fbbdec9ea55ed978db",
-        "summary.txt": "ef536f4c33ccc903824a77f73e15398eff14aa149fc0343f48196b8898ff6023",
+        "timeseries.csv": "9a5e9ef01bd40bee87e72dbd25839095447434712d08adfad295033a05514c3f",
+        "summary.txt": "3789dd167ee6ed094588117f071ac7b6014f3505facdeb5f773a283975930bcf",
     },
 }
 
@@ -41,14 +45,14 @@ GOLDEN_POISSON = {
     "icn": {
         "requests.csv": "633cdad7bb6a8d4e64f51b0ecc360de99d87b2c86d1aa1859c22878936b672de",
         "node_counters.csv": "67fd56c1231bf08909b3056275b678c344a6b311c998d70b0c1671bbdc5352e5",
-        "timeseries.csv": "6ee40cf359d6f3acd042c1898e2661c631f64497a06db38fbbc54b76b7c93e08",
-        "summary.txt": "0db56bcb0a803c92bb99c73a2046782f08639db4bb7d0c552c617d1496a5c7f1",
+        "timeseries.csv": "160e5eb8c634ddb9f68adcbffb38f2da6e356cc874c8f8dcb03ba357e73963a1",
+        "summary.txt": "5d0540929f3f5336a524b6219eda0fa7829bb32b8a5dc16a5683778c74a7bd82",
     },
     "cdn-only": {
         "requests.csv": "5833650cb61a7b98207d0396247ce42ac473f5bf9a50d2229c14a523fe0f26eb",
         "node_counters.csv": "d91f9c8c9439ef087472feacba9ce3a55e2eff3abe6ad21d1e4f6600751de66f",
-        "timeseries.csv": "92e065de5965478cda167211ea54914f59285c7b9ea0d1d10b28967b88b86a83",
-        "summary.txt": "0e1147363ad1242b7a7b83bb859de9d2724d5166be1613648e82eac667d248f8",
+        "timeseries.csv": "318b9692f82d06d240000c18ded42e708bab425c7864e2a2892288183f574112",
+        "summary.txt": "3ece73f67a97181eb83e3fa0a3e9b455043507af737bb26e2d4fa0047119f0bc",
     },
 }
 

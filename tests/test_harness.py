@@ -314,6 +314,26 @@ def test_publish_bench_parallel_jobs_match_sequential(tmp_path):
     assert seq == par
 
 
+def test_publish_bench_fetch_outlives_its_request():
+    # Set as given, the one request would fail at 1 ms, before its interest
+    # reaches the gateway, and the run would end there with no publish: the
+    # bench's request retransmits no sooner than the origin timeout.
+    assert publish_bench(MINI, [1], sets=["knobs.retransmit_max=1",
+                                          "populations.0.retransmit_ms=1"]) == [
+        (1048576, 87.92704)]
+
+
+@pytest.mark.parametrize("mode", ["icn", "cdn-only"])
+def test_run_ends_at_its_last_request(mode):
+    # The slice expiry at 600,000 ms ended the run at the parent commit.
+    run = run_scenario(MINI, None, ["mode=%s" % mode])
+    assert run.final_ms == max(r.t_complete_ms for r in run.records) < 1000.0
+    assert run.samples and all(row[0] < run.final_ms for row in run.samples)
+    # A run with no request ends at 0, before the first bucket.
+    run = run_scenario(MINI, None, ["mode=%s" % mode, "populations.0.request_count=0"])
+    assert (run.final_ms, run.records, run.samples) == (0.0, [], [])
+
+
 def test_scale_checks_do_not_fire_in_mini():
     run = run_scenario(MINI)
     assert not any("scale" in line for line in run.orchestrator.log)

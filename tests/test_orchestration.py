@@ -265,6 +265,25 @@ def test_relink_is_idempotent():
     assert gw2 == gw
 
 
+def test_second_link_of_an_icn_slice_rejected_before_any_change():
+    net, orch, cdn, icn, gw = linked_world()
+    cdn2 = orch.create_slice(dataclasses.replace(cdn_spec(), vnfs=[
+        VnfSpec("cache", "openstack-eu", Flavor(1, 1, 1), "cdn-2")]))
+
+    def state():
+        fibs = {n: [(e.prefix, list(e.next_hops)) for e in h.fwd.fib_entries()]
+                for n, h in net.hosts.items() if h.fwd is not None}
+        g = net.hosts[gw].gateway
+        return (fibs, dict(g.prefix_map), g.origin_node, orch.slices[icn].gateway_node,
+                list(orch.log))
+
+    before = state()
+    for other, prefix in ((cdn, "/alt"), (cdn2, "/cdn")):
+        with pytest.raises(ValueError):
+            orch.link_slices(other, icn, 0.0, [("ndn-jp", 1)], Name.parse(prefix))
+        assert state() == before
+
+
 def test_link_unknown_slice():
     net, orch, cdn, icn, gw = linked_world()
     with pytest.raises(UnknownSlice):

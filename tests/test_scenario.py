@@ -57,6 +57,22 @@ def test_quota_infeasible_slice_names_domain():
     assert any(d.code == "QuotaExceeded" and "dc" in d.message for d in diags)
 
 
+def test_second_link_of_an_icn_slice_rejected():
+    # Accepted at the parent commit: the run then answered no request,
+    # since the gateway served only the second prefix while every FIB still
+    # routed the first one to it.
+    link = {"op": "link", "cdn": "c1", "icn": "i1", "prefix": "/cdn", "weight": 1.0}
+    c2 = {"op": "create_cdn_slice", "slice": "c2", "duration_ms": 1000,
+          "vnfs": [{"role": "cache", "node": "origin-2", "domain": "dc",
+                    "flavor": {"vcpus": 1, "ram_mb": 1, "disk_gb": 1}}]}
+    for extra, want in (([dict(link, weight=0.0)], []),
+                        ([dict(link, prefix="/alt")], [("invariant", "northbound.4")]),
+                        ([c2, dict(link, cdn="c2")], [("invariant", "northbound.5")])):
+        doc = load_doc(MINI)
+        doc["northbound"] += extra
+        assert [(d.code, d.path) for d in parse_doc(doc)[1]] == want
+
+
 def test_duplicate_node_ids_rejected():
     doc = load_doc(MINI)
     doc["topology"]["nodes"].append({"id": "client"})

@@ -7,6 +7,12 @@ from icnsim.simnet import HorizonExceeded, Host, IpRequest, Network
 from conftest import build_chain, filter_deliveries
 
 
+def first_hop(net, src, dst):
+    """The peer at the end of ``src``'s cached outgoing link toward ``dst``."""
+    link = net._routes_from(src)[1].get(dst)
+    return link and link.dst
+
+
 def test_equal_time_events_run_in_schedule_order():
     net = Network()
     log = []
@@ -127,7 +133,6 @@ def test_cancelled_events_do_not_run():
     net.cancel(ev)
     net.run_to_completion()
     assert log == []
-    assert not net.active()
 
 
 def test_ip_routing_multi_hop(monkeypatch):
@@ -137,7 +142,7 @@ def test_ip_routing_multi_hop(monkeypatch):
     net, hosts = build_chain(
         [("a", 0), ("b", 0), ("c", 0)],
         [("a", "b", 5.0, 100.0), ("b", "c", 7.0, 100.0)])
-    assert net.next_hop("a", "c") == "b"
+    assert first_hop(net, "a", "c") == "b"
     assert net.shortest_latency("a", "c") == 12.0
     hosts["a"].send_ip(IpRequest("a", "c", 0, "x", "r"), 512)
     net.run_to_completion()
@@ -150,12 +155,12 @@ def test_route_cache_invalidated_on_topology_change():
     net, hosts = build_chain(
         [("a", 0), ("b", 0), ("c", 0)],
         [("a", "b", 5.0, 100.0), ("b", "c", 7.0, 100.0)])
-    assert net.next_hop("a", "c") == "b"
+    assert first_hop(net, "a", "c") == "b"
     a = hosts["a"]
     a.send_ip(IpRequest("a", "c", 0, "x", "r"), 512)  # fills a's routes
     assert len(a.links["b"].in_flight) == 1
     net.remove_link("b", "c")
-    assert net.next_hop("a", "c") is None
+    assert first_hop(net, "a", "c") is None
     assert net.shortest_latency("a", "c") == float("inf")
     a.send_ip(IpRequest("a", "c", 1, "x", "r"), 512)
     assert a.counters.drops == {"no-route": 1}
@@ -403,7 +408,6 @@ def _check_dead_faces_drop(net, model):
             before = (c.drops.get("no-route", 0), c.tx_pkts)
             host._emit(net.now, [(face, _DEAD[face % 2])], n)
             assert (c.drops["no-route"], c.tx_pkts) == (before[0] + 1, before[1])
-    assert not net.active()
 
 
 def _check_routes(net, model):
@@ -417,7 +421,7 @@ def _check_routes(net, model):
                 continue
             lat, firsts = best.get(dst, (float("inf"), {None}))
             assert net.shortest_latency(src, dst) == lat
-            assert net.next_hop(src, dst) in firsts
+            assert first_hop(net, src, dst) in firsts
 
 
 _topology_ops = st.lists(st.tuples(
